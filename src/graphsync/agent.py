@@ -239,8 +239,13 @@ class SyncAgent:
     # -- inbound dispatch --------------------------------------------------
 
     def on_frame(self, src: str, frame: bytes, now: int) -> None:
+        """Handle one inbound frame.  A frame the simulator is
+        delivering is decoded once for all its receivers and the
+        message is shared (see `NetworkSim`), so handlers must treat
+        messages and the revisions in them as read-only; any other
+        frame is decoded here."""
         kind = frame_kind(frame)
-        msg = decode_frame(frame)
+        msg = self.sim.decoded(frame, decode_frame)
         if kind in TRANSFER_KINDS:
             session = self.transfers.get(msg.dataset_uri)
             if session is not None:

@@ -524,8 +524,8 @@ def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
     idents = {n: AgentId(bytes([i + 1]) * 16, n) for i, n in enumerate(names)}
     agents: dict[str, SyncAgent] = {}
     stores: dict[str, PayloadStore] = {}
-    for n in names:
-        ag = SyncAgent(idents[n], sim, SyncConfig(), rng=random.Random(seed + hash(n) % 97))
+    for i, n in enumerate(names):
+        ag = SyncAgent(idents[n], sim, SyncConfig(), rng=random.Random(seed * 1000 + i))
         ag.subscribe(MAPPING_DOC)
         sim.register(n, ag.on_frame)
         ag.start()

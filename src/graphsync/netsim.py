@@ -66,6 +66,18 @@ class Delivery:
 
 
 class NetworkSim:
+    """The event loop of one simulated world.
+
+    Each frame object handed to `send` is decoded at most once per
+    world: while copies of it are queued, the first receiver that asks
+    `decoded` for its message decodes it and every other receiver,
+    duplicated copies included, gets the same message object.  That is
+    safe because wire messages are frozen and a `Revision` decoded from
+    the wire is never marked local, so no receiver mutates what it
+    shares.  The entry is dropped when the last queued copy has been
+    dispatched or dropped, so the memo holds only frames in flight.
+    """
+
     def __init__(
         self,
         seed: int,
@@ -84,6 +96,9 @@ class NetworkSim:
         self._blocked_pairs: dict[frozenset, list[tuple[int, int]]] = {}
         self.event_log: list[tuple[int, str, str, str, int]] = []
         self.dropped = 0
+        # id(frame) -> [copies still queued, decoded message or None]; the
+        # queued copies keep the frame alive, so its id cannot be reused.
+        self._in_flight: dict[int, list] = {}
 
     # -- wiring ---------------------------------------------------------
 
@@ -166,14 +181,26 @@ class NetworkSim:
                     (when, next(self._seq), 1, Delivery(when, src, target, frame)),
                 )
                 times.append(when)
+        if times:
+            self._in_flight.setdefault(id(frame), [0, None])[0] += len(times)
         return times
+
+    def decoded(self, frame: bytes, decode: Callable[[bytes], object]):
+        """The message of `frame`: decoded by `decode` once for all its
+        queued copies, or on every call for a frame not in flight.  A
+        frame that fails to decode caches nothing."""
+        entry = self._in_flight.get(id(frame))
+        if entry is None:
+            return decode(frame)
+        if entry[1] is None:
+            entry[1] = decode(frame)
+        return entry[1]
 
     # -- event loop ---------------------------------------------------------
 
-    def advance(self, until: int) -> list[Delivery]:
+    def advance(self, until: int) -> None:
         """Dispatch everything scheduled up to `until` in (time,
-        insertion) order; returns the frames actually delivered."""
-        delivered: list[Delivery] = []
+        insertion) order."""
         while self._heap and self._heap[0][0] <= until:
             time, _, tag, item = heapq.heappop(self._heap)
             self._now = time
@@ -181,15 +208,20 @@ class NetworkSim:
                 item(time)
                 continue
             ev: Delivery = item
-            if not self.connected(ev.src, ev.dst, time):
-                self.dropped += 1
-                continue
-            kind = KIND_NAMES.get(frame_kind(ev.frame), "?")
-            self.event_log.append((time, ev.src, ev.dst, kind, len(ev.frame)))
-            delivered.append(ev)
-            self._endpoints[ev.dst](ev.src, ev.frame, time)
+            key = id(ev.frame)
+            entry = self._in_flight[key]
+            entry[0] -= 1
+            try:
+                if not self.connected(ev.src, ev.dst, time):
+                    self.dropped += 1
+                    continue
+                kind = KIND_NAMES.get(frame_kind(ev.frame), "?")
+                self.event_log.append((time, ev.src, ev.dst, kind, len(ev.frame)))
+                self._endpoints[ev.dst](ev.src, ev.frame, time)
+            finally:
+                if not entry[0]:
+                    del self._in_flight[key]
         self._now = until
-        return delivered
 
     def run_until_idle(self, hard_limit: int) -> None:
         while self._heap and self._heap[0][0] <= hard_limit:

@@ -113,6 +113,16 @@ class GraphOfRevisions:
     Revisions may arrive before their parents; they are stored anyway
     and the unresolved parent digests are reported so the caller can
     request them.  Materializations are cached per revision.
+
+    Two indexes are kept up to date by `insert` and `remove`, so the
+    per-frame queries `heads` and `resolved` cost no history walk:
+
+    * ``_heads`` holds exactly the present revisions without a present
+      child;
+    * ``_resolved`` holds exactly the present revisions whose every
+      ancestor is present.  A revision joins it when all its parents are
+      in it; when a missing parent arrives, resolution spreads from it
+      to its present children through ``_children``.
     """
 
     def __init__(self, uri: str = ""):
@@ -121,6 +131,8 @@ class GraphOfRevisions:
         self._revs: dict[bytes, Revision] = {ROOT_REVISION.hash: ROOT_REVISION}
         self._children: dict[bytes, set[bytes]] = {ROOT_REVISION.hash: set()}
         self._mat: dict[bytes, frozenset] = {ROOT_REVISION.hash: frozenset()}
+        self._heads: set[bytes] = {ROOT_REVISION.hash}
+        self._resolved: set[bytes] = {ROOT_REVISION.hash}
 
     # -- basic access -------------------------------------------------
 
@@ -148,10 +160,26 @@ class GraphOfRevisions:
             raise HashMismatch(rev.hash.hex())
         if rev.hash not in self._revs:
             self._revs[rev.hash] = rev
-            self._children.setdefault(rev.hash, set())
+            if not self._children.setdefault(rev.hash, set()):
+                self._heads.add(rev.hash)
             for link in rev.parents:
                 self._children.setdefault(link.parent, set()).add(rev.hash)
+                self._heads.discard(link.parent)
+            self._spread_resolution(rev.hash)
         return [link.parent for link in rev.parents if link.parent not in self._revs]
+
+    def _spread_resolution(self, h: bytes) -> None:
+        """Mark h resolved if all its parents are, then every present
+        descendant that this completes."""
+        stack = [h]
+        while stack:
+            cur = stack.pop()
+            rev = self._revs.get(cur)
+            if rev is None or cur in self._resolved:
+                continue
+            if all(link.parent in self._resolved for link in rev.parents):
+                self._resolved.add(cur)
+                stack.extend(self._children[cur])
 
     def missing_parents(self) -> set[bytes]:
         """Digests referenced as parents but not present."""
@@ -171,30 +199,24 @@ class GraphOfRevisions:
             rev = self._revs.pop(h)
             self._children.pop(h, None)
             self._mat.pop(h, None)
+            self._heads.discard(h)
+            self._resolved.discard(h)
             for link in rev.parents:
                 kids = self._children.get(link.parent)
                 if kids is not None:
                     kids.discard(h)
+                    if not kids and link.parent in self._revs:
+                        self._heads.add(link.parent)
 
     # -- topology -----------------------------------------------------
 
     def resolved(self, h: bytes) -> bool:
-        """True when every ancestor of h is present."""
-        stack, seen = [h], set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            rev = self._revs.get(cur)
-            if rev is None:
-                return False
-            stack.extend(link.parent for link in rev.parents)
-        return True
+        """True when h and every ancestor of h are present."""
+        return h in self._resolved
 
     def heads(self) -> set[bytes]:
-        """Revisions without children."""
-        return {h for h, rev in self._revs.items() if not self._children.get(h)}
+        """Revisions without children (a copy the caller may keep)."""
+        return set(self._heads)
 
     def ancestors(self, h: bytes) -> set[bytes]:
         """All strict ancestors of h (excludes h itself)."""

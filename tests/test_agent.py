@@ -2,10 +2,21 @@ import random
 
 import pytest
 
+import graphsync.agent as agent_mod
 from graphsync.agent import POLICY_MERGE_ONLY, SyncAgent, SyncConfig
 from graphsync.netsim import LinkPolicy, NetworkSim, Topology
+from graphsync.revisions import ROOT_REVISION, ParentLink, make_revision
 from graphsync.triples import Delta, triple
-from graphsync.wire import AgentId, RevisionRequestMsg, StatusMsg, VoteMsg, decode_frame, encode_frame
+from graphsync.wire import (
+    AgentId,
+    MalformedFrame,
+    RevisionMsg,
+    RevisionRequestMsg,
+    StatusMsg,
+    VoteMsg,
+    decode_frame,
+    encode_frame,
+)
 
 DOC = "doc:map"
 
@@ -294,3 +305,50 @@ class TestConvergenceAfterElection:
         for i in range(4):
             union |= fresh_triples(f"t{i}", 2)
         assert agents[0].head_graph(DOC) == union
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Frames passed to `graphsync.agent.decode_frame`, in call order."""
+    calls = []
+
+    def counted(frame):
+        calls.append(frame)
+        return decode_frame(frame)
+
+    monkeypatch.setattr(agent_mod, "decode_frame", counted)
+    return calls
+
+
+class TestDecodeOnce:
+    def test_broadcast_decoded_once_for_all_receivers(self, decodes):
+        sim, agents = make_team(5, policy=LinkPolicy(("uniform", 2, 8), duplication=1.0))
+        rev = make_revision(b"\x09" * 16, 1, (
+            ParentLink(ROOT_REVISION.hash, Delta.of(fresh_triples("x", 3), ())),))
+        frame = encode_frame(RevisionMsg(DOC, rev))
+        assert len(sim.send(frame, "a0")) == 8   # every receiver gets two copies
+        sim.advance(500)
+        assert sum(f is frame for f in decodes) == 1
+        received = [ag.documents[DOC].gor.get(rev.hash) for ag in agents[1:]]
+        assert all(r is received[0] and not r.local for r in received)
+        assert sim._in_flight == {}
+
+    def test_malformed_frame_caches_nothing(self, decodes):
+        sim, agents = make_team(3)
+        bad = encode_frame(StatusMsg(agents[0].ident, DOC, ROOT_REVISION.hash, False))[:-1]
+        sim.send(bad, "a0")
+        with pytest.raises(MalformedFrame):
+            sim.advance(500)
+        assert sim._in_flight[id(bad)][1] is None
+        with pytest.raises(MalformedFrame):
+            sim.advance(500)
+        sim.advance(500)
+        assert sum(f is bad for f in decodes) == 2
+        assert sim._in_flight == {}
+
+    def test_frame_outside_simulator_decoded_per_call(self, decodes):
+        sim, (a, b) = make_team(2)
+        frame = encode_frame(StatusMsg(b.ident, DOC, ROOT_REVISION.hash, False))
+        a.on_frame("a1", frame, 1)
+        a.on_frame("a1", frame, 2)
+        assert sum(f is frame for f in decodes) == 2

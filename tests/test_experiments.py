@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +51,20 @@ class TestNeverSync:
                                          edit_stop=3000, hard_end=12_000)
         assert not res["b_never_saw_a"]
         assert res["converged_at"] is not None
+
+
+class TestCollabMapping:
+    def test_outputs_independent_of_hash_seed(self, tmp_path):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        script = ("import sys; from graphsync.experiments import run_collab_mapping; "
+                  "run_collab_mapping(sys.argv[1], seed=1)")
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", script, str(tmp_path / hash_seed)],
+                           env=env, check=True)
+        for name in ("holders.csv", "mapping-report.txt", "payloads.csv"):
+            assert read(tmp_path / "0" / name) == read(tmp_path / "1" / name)
 
 
 class TestVerify:

@@ -3,6 +3,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsync.revisions import (
     ROOT_REVISION,
@@ -476,3 +478,97 @@ class TestHashIntegrityProperty:
         gor, _ = random_dag(rng, 25)
         for h, rev in ((r.hash, r) for r in gor.revisions()):
             assert revision_hash(rev.author, rev.timestamp, rev.parents) == h
+
+
+# -- incremental DAG indexes -------------------------------------------------
+
+
+def heads_by_scan(gor):
+    """Reference for `heads`: every present revision without children."""
+    return {h for h in gor._revs if not gor._children.get(h)}
+
+
+def resolved_by_dfs(gor, h):
+    """Reference for `resolved`: walk every ancestor of h."""
+    stack, seen = [h], set()
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        rev = gor._revs.get(cur)
+        if rev is None:
+            return False
+        stack.extend(link.parent for link in rev.parents)
+    return True
+
+
+@st.composite
+def revision_dags(draw):
+    """Revisions whose parents are one or two earlier revisions (or the
+    root), some of them local, in an order drawn independently."""
+    revs = []
+    for i in range(draw(st.integers(1, 10))):
+        pool = [ROOT_REVISION.hash] + [r.hash for r in revs]
+        parents = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+        links = tuple(ParentLink(p, Delta.of({T[(i + k) % len(T)]}, ()))
+                      for k, p in enumerate(parents))
+        revs.append(make_revision(draw(st.sampled_from([A_B, A_C])), i + 1, links,
+                                  local=draw(st.booleans())))
+    return draw(st.permutations(revs))
+
+
+OPS = st.lists(st.tuples(st.sampled_from(["remove", "rebase", "squash"]),
+                         st.integers(0, 10**6), st.integers(0, 10**6)), max_size=6)
+
+
+class TestIncrementalIndexes:
+    @staticmethod
+    def assert_indexes_match(gor, seen):
+        assert gor.heads() == heads_by_scan(gor)
+        for h in seen:
+            assert gor.resolved(h) == resolved_by_dfs(gor, h), h.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(revision_dags(), st.integers(0, 10), OPS)
+    def test_heads_and_resolved_match_full_walks(self, order, held_back, ops):
+        """Insert in any order, holding some revisions back, run
+        remove / rebase / squash on the partial graph, then insert the
+        rest; the indexes equal the full walks after every step."""
+        gor = GraphOfRevisions("doc:index")
+        seen = {ROOT_REVISION.hash} | {r.hash for r in order}
+        cut = max(0, len(order) - held_back)
+        for rev in order[:cut]:
+            gor.insert(rev)
+            self.assert_indexes_match(gor, seen)
+        for step, (op, i, j) in enumerate(ops):
+            present = sorted(r.hash for r in gor.revisions())
+            tips = sorted(h for h in heads_by_scan(gor) if gor.get(h).local) or present
+            a, b = tips[i % len(tips)], present[j % len(present)]
+            try:
+                if op == "remove":
+                    gor.remove([a])
+                elif op == "rebase":
+                    seen.update(r.hash for r in rebase_revisions(gor, a, b, 100 + step))
+                else:
+                    seen.add(squash(gor, a, 100 + step).hash)
+            except (KeyError, ValueError):
+                pass
+            self.assert_indexes_match(gor, seen)
+        for rev in order[cut:]:
+            gor.insert(rev)
+            self.assert_indexes_match(gor, seen)
+
+    def test_late_parent_resolves_chain(self):
+        gor = GraphOfRevisions("doc:late")
+        r1 = make_revision(A_B, 1, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),))
+        r2 = make_revision(A_B, 2, (ParentLink(r1.hash, Delta.of({T[1]}, ())),))
+        r3 = make_revision(A_C, 3, (ParentLink(r2.hash, Delta.of({T[2]}, ())),
+                                    ParentLink(ROOT_REVISION.hash, Delta())))
+        for rev in (r3, r2):
+            gor.insert(rev)
+        assert not any(gor.resolved(r.hash) for r in (r1, r2, r3))
+        assert gor.heads() == {r3.hash}
+        gor.insert(r1)
+        assert all(gor.resolved(r.hash) for r in (r1, r2, r3))
+        assert gor.heads() == {r3.hash}
