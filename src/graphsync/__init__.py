@@ -9,7 +9,6 @@ simulator drives the protocol end to end.
 
 from .triples import (
     Delta,
-    Graph,
     MalformedDelta,
     Term,
     Triple,
@@ -38,7 +37,6 @@ from .revisions import (
 
 __all__ = [
     "Delta",
-    "Graph",
     "GraphOfRevisions",
     "MalformedDelta",
     "ParentLink",

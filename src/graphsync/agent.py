@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .revisions import (
     GraphOfRevisions,
@@ -38,7 +38,6 @@ from .revisions import (
     make_revision,
     merge_revision,
     rebase_revisions,
-    squash,
 )
 from .triples import Delta
 from .wire import (
@@ -84,8 +83,6 @@ class SyncConfig:
     election_window_periods: int = 2
     merge_duration: int = 0
     policy: str = POLICY_MERGE_REBASE
-    squash_before_rebase: bool = False
-    rebase_recompute_deltas: bool = False
 
 
 @dataclass
@@ -130,7 +127,6 @@ class SyncAgent:
         sim,
         config: SyncConfig | None = None,
         rng: random.Random | None = None,
-        sign: Optional[Callable[[bytes], bytes]] = None,
         start_time: int = 0,
     ):
         self.ident = ident
@@ -138,7 +134,6 @@ class SyncAgent:
         self.sim = sim
         self.config = config or SyncConfig()
         self.rng = rng or random.Random(0)
-        self.sign = sign
         self.start_time = start_time
         self.documents: dict[str, DocState] = {}
         self.transfers: dict[str, object] = {}
@@ -217,7 +212,6 @@ class SyncAgent:
             self.ident.uuid,
             now // 1000,
             (ParentLink(doc.own_head, delta),),
-            sign=self.sign,
             local=True,
         )
         doc.gor.insert(rev)
@@ -375,18 +369,8 @@ class SyncAgent:
             return
         if not chain or any(not r.local for r in chain):
             return
-        tip = doc.own_head
-        if self.config.squash_before_rebase and len(chain) > 1:
-            tip = squash(doc.gor, tip, now // 1000, sign=self.sign).hash
         try:
-            moved = rebase_revisions(
-                doc.gor,
-                tip,
-                merge_hash,
-                now // 1000,
-                sign=self.sign,
-                recompute_deltas=self.config.rebase_recompute_deltas,
-            )
+            moved = rebase_revisions(doc.gor, doc.own_head, merge_hash, now // 1000)
         except (NotLinear, NotLocal):
             return
         doc.local_queue = []
@@ -438,9 +422,7 @@ class SyncAgent:
         h_i, h_j = pair
         if h_i not in doc.gor or h_j not in doc.gor:
             return
-        merged = merge_revision(
-            doc.gor, h_i, h_j, self.ident.uuid, now // 1000, sign=self.sign
-        )
+        merged = merge_revision(doc.gor, h_i, h_j, self.ident.uuid, now // 1000)
         if merged.hash not in (h_i, h_j):
             self._publish_revision(doc, merged)
         if doc.own_head in pair or doc.gor.is_ancestor(doc.own_head, merged.hash):

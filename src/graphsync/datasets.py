@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .triples import Graph, Term, Triple, iri, literal
+from .triples import Term, Triple, iri, literal
 from .wire import AgentId
 
 NS = "http://aiics.example.org/ns#"
@@ -165,7 +165,7 @@ def holders_of(triples: Iterable[Triple], dataset_uri: str) -> set[str]:
 def discover(doc_graph, region: Rect) -> list[tuple[str, tuple[str, ...]]]:
     """Datasets whose coverage intersects the region, each with the
     URIs of the agents holding the payload; sorted by dataset URI."""
-    triples = doc_graph.triples if isinstance(doc_graph, Graph) else frozenset(doc_graph)
+    triples = frozenset(doc_graph)
     found = []
     for uri, meta in sorted(datasets_from_triples(triples).items()):
         if meta.coverage.intersects(region):

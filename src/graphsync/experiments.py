@@ -1,10 +1,11 @@
 """Desk-scale experiment harness.
 
-Each experiment builds its world from (parameters, seed), writes CSV
-metrics into an output directory, and returns a result dict that the
-acceptance suite asserts on.  Simulated-time outputs are bit-stable for
-a given seed; wall-clock timings go to clearly named timing files that
-are exempt from the determinism contract.
+Each experiment builds its world from (parameters, seed), making its
+agents with `_build_team` and its bulk transfers with `_wire_transfer`.
+It writes CSV metrics into an output directory and returns a result
+dict that the acceptance suite asserts on.  Simulated-time outputs are
+bit-stable for a given seed; wall-clock timings go to clearly named
+timing files that are exempt from the determinism contract.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import hashlib
 import os
 import random
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import POLICY_MERGE_ONLY, POLICY_MERGE_REBASE, SyncAgent, SyncConfig
+from .agent import SyncAgent, SyncConfig
 from .datasets import (
     DatasetMeta,
     DatasetRelation,
@@ -56,6 +56,50 @@ def _write_payload_manifest(out_dir, stores: dict[str, PayloadStore]) -> None:
             rows.append((uri, name, digest))
     _write_csv(os.path.join(out_dir, "payloads.csv"),
                ["dataset", "holder", "sha256"], rows)
+
+
+def _build_team(sim: NetworkSim, names, configs, rng_base: int, documents,
+                groups) -> dict[str, SyncAgent]:
+    """The agents of one world, by name in the order given.  Agent i is
+    named names[i], has uuid bytes([i + 1]) * 16, configs[i] and
+    random.Random(rng_base + i); it subscribes to every document, is
+    registered with sim in group groups.get(name, 0), and is started
+    before agent i + 1 is built."""
+    agents = {}
+    for i, name in enumerate(names):
+        agent = SyncAgent(AgentId(bytes([i + 1]) * 16, name), sim, configs[i],
+                          rng=random.Random(rng_base + i))
+        for uri in documents:
+            agent.subscribe(uri)
+        sim.register(name, agent.on_frame, group=groups.get(name, 0))
+        agent.start()
+        agents[name] = agent
+    return agents
+
+
+def _wire_transfer(sim: NetworkSim, dataset: str, payload: bytes, chunk_size: int,
+                   sender: str, receivers, commit, abort) -> dict:
+    """Start one transfer of payload from endpoint sender to the
+    endpoints of receivers (name -> uuid).  The sender session is built
+    first, then one receiver session per name in order; commit(name,
+    data) and abort(name) report each receiver's outcome.  Returns the
+    sessions by endpoint name, for the caller to route frames to."""
+    sessions = {sender: SenderSession(
+        dataset, payload, set(receivers.values()),
+        send=lambda m: sim.send(encode_frame(m), sender),
+        schedule=sim.call_later, chunk_size=chunk_size,
+    )}
+    max_chunks = len(split_chunks(payload, chunk_size))
+    for name, uuid in receivers.items():
+        sessions[name] = ReceiverSession(
+            dataset, uuid, max_chunks=max_chunks,
+            send=lambda m, n=name: sim.send(encode_frame(m), n),
+            schedule=sim.call_later,
+            commit=lambda data, n=name: commit(n, data),
+            abort=lambda n=name: abort(n),
+            chunk_size=chunk_size,
+        )
+    return sessions
 
 
 def fresh_delta(tag: str, count: int, start: int = 0) -> Delta:
@@ -245,20 +289,6 @@ def run_rebase_scaling(out_dir, max_revisions: int = 40, seed: int = 1,
 PARTITION_DOC = "doc:shared-map"
 
 
-def _make_sync_team(sim: NetworkSim, n: int, seed: int, config: SyncConfig,
-                    groups: dict[str, int], documents=(PARTITION_DOC,)):
-    agents = []
-    for i in range(n):
-        ident = AgentId(bytes([i + 1]) * 16, f"agent{i:02d}")
-        agent = SyncAgent(ident, sim, config, rng=random.Random(seed * 1000 + i))
-        for uri in documents:
-            agent.subscribe(uri)
-        sim.register(agent.name, agent.on_frame, group=groups.get(f"agent{i:02d}", 0))
-        agent.start()
-        agents.append(agent)
-    return agents
-
-
 def run_partition_12(out_dir, seed: int = 1, loss: float = 0.05,
                      windows=((60_000, 100_000, 1), (140_000, 180_000, 2),
                               (220_000, 260_000, 1)),
@@ -271,7 +301,8 @@ def run_partition_12(out_dir, seed: int = 1, loss: float = 0.05,
     sim = NetworkSim(seed, policy=LinkPolicy(("uniform", 2, 8), loss=loss,
                                              duplication=0.02, reorder=0.05),
                      topology=Topology(dict(groups)))
-    agents = _make_sync_team(sim, 12, seed, SyncConfig(), groups)
+    agents = list(_build_team(sim, list(groups), [SyncConfig()] * 12, seed * 1000,
+                              (PARTITION_DOC,), groups).values())
     for start, end, group in windows:
         sim.set_group_offline(group, start, end)
 
@@ -401,16 +432,10 @@ def run_never_sync(out_dir, policy: str, seed: int = 1, edit_period: int = 100,
     os.makedirs(out_dir, exist_ok=True)
     doc = "doc:fast"
     sim = NetworkSim(seed, policy=LinkPolicy(("fixed", latency)))
-    config_a = SyncConfig(policy=policy, merge_duration=merge_duration)
-    config_b = SyncConfig(policy=policy)
-    a = SyncAgent(AgentId(b"\x01" * 16, "agent-a"), sim, config_a,
-                  rng=random.Random(seed))
-    b = SyncAgent(AgentId(b"\x02" * 16, "agent-b"), sim, config_b,
-                  rng=random.Random(seed + 1))
+    configs = [SyncConfig(policy=policy, merge_duration=merge_duration),
+               SyncConfig(policy=policy)]
+    a, b = _build_team(sim, ["agent-a", "agent-b"], configs, seed, (doc,), {}).values()
     for ag in (a, b):
-        ag.subscribe(doc)
-        sim.register(ag.name, ag.on_frame)
-        ag.start()
         ag.preset_master(doc, a.ident.uuid)
 
     def schedule_edits(agent: SyncAgent, tag: str):
@@ -521,16 +546,8 @@ def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
     rng = random.Random(seed)
 
     names = ["op", "uav0", "uav1", "uav2"]
-    idents = {n: AgentId(bytes([i + 1]) * 16, n) for i, n in enumerate(names)}
-    agents: dict[str, SyncAgent] = {}
-    stores: dict[str, PayloadStore] = {}
-    for i, n in enumerate(names):
-        ag = SyncAgent(idents[n], sim, SyncConfig(), rng=random.Random(seed * 1000 + i))
-        ag.subscribe(MAPPING_DOC)
-        sim.register(n, ag.on_frame)
-        ag.start()
-        agents[n] = ag
-        stores[n] = PayloadStore(os.path.join(out_dir, f"store-{n}"))
+    agents = _build_team(sim, names, [SyncConfig()] * 4, seed * 1000, (MAPPING_DOC,), {})
+    stores = {n: PayloadStore(os.path.join(out_dir, f"store-{n}")) for n in names}
 
     payloads = {uri: rng.randbytes(payload_bytes) for uri in ("ds:A", "ds:B", "ds:C", "ds:D")}
 
@@ -554,36 +571,24 @@ def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
     transfer_results: dict[str, str] = {}
 
     def start_transfer(sender_name: str, receiver_name: str, uri: str):
+        def commit(rn, data):
+            stores[rn].commit(uri, POINTS_CLOUD, data, chunk_size)
+            agents[rn].local_change(
+                MAPPING_DOC, Delta.of(has_relation_triples(agents[rn], uri), ())
+            )
+            transfer_results[uri] = "committed"
+
+        def abort(rn):
+            stores[rn].abort(uri)
+            transfer_results[uri] = "aborted"
+
         def fire(now):
-            sender_agent = agents[sender_name]
-            receiver_agent = agents[receiver_name]
             payload = payload_for_send(stores[sender_name], uri)
-            n_chunks = len(split_chunks(payload, chunk_size))
-            sender = SenderSession(
-                uri, payload, {receiver_agent.ident.uuid},
-                send=lambda m: sim.send(encode_frame(m), sender_name),
-                schedule=sim.call_later, chunk_size=chunk_size,
-            )
-            sender_agent.attach_transfer(uri, sender)
-
-            def commit(data, u=uri, rn=receiver_name):
-                stores[rn].commit(u, POINTS_CLOUD, data, chunk_size)
-                agents[rn].local_change(
-                    MAPPING_DOC, Delta.of(has_relation_triples(agents[rn], u), ())
-                )
-                transfer_results[u] = "committed"
-
-            def abort(u=uri, rn=receiver_name):
-                stores[rn].abort(u)
-                transfer_results[u] = "aborted"
-
-            receiver = ReceiverSession(
-                uri, receiver_agent.ident.uuid, max_chunks=n_chunks,
-                send=lambda m: sim.send(encode_frame(m), receiver_name),
-                schedule=sim.call_later, commit=commit, abort=abort,
-                chunk_size=chunk_size,
-            )
-            receiver_agent.attach_transfer(uri, receiver)
+            sessions = _wire_transfer(sim, uri, payload, chunk_size, sender_name,
+                                      {receiver_name: agents[receiver_name].ident.uuid},
+                                      commit, abort)
+            for name, session in sessions.items():
+                agents[name].attach_transfer(uri, session)
         return fire
 
     # missions A, B, C
@@ -689,38 +694,20 @@ def _fuzz_one(run_seed, payload_bytes, chunk_size, loss, duplication, reorder,
               receivers):
     rng = random.Random(run_seed)
     payload = rng.randbytes(payload_bytes)
-    n_chunks = len(split_chunks(payload, chunk_size))
     sim = NetworkSim(run_seed, policy=LinkPolicy(("uniform", 1, 10), loss=loss,
                                                  duplication=duplication,
                                                  reorder=reorder))
     names = [f"r{i}" for i in range(receivers)]
-    uuids = {n: hashlib.md5(n.encode()).digest() for n in names}
-    sessions: dict[str, ReceiverSession] = {}
     sink = {n: [] for n in names}
     fail = {n: False for n in names}
-
-    def receiver_endpoint(name):
-        def on_frame(src, frame, now):
-            sessions[name].on_msg(decode_frame(frame), now)
-        return on_frame
-
-    sim.register("sender", lambda src, frame, now: sender.on_msg(decode_frame(frame), now))
-    for n in names:
-        sim.register(n, receiver_endpoint(n))
-    sender = SenderSession(
-        "ds:fuzz", payload, set(uuids.values()),
-        send=lambda m: sim.send(encode_frame(m), "sender"),
-        schedule=sim.call_later, chunk_size=chunk_size,
-    )
-    for n in names:
-        sessions[n] = ReceiverSession(
-            "ds:fuzz", uuids[n], max_chunks=n_chunks,
-            send=lambda m, nn=n: sim.send(encode_frame(m), nn),
-            schedule=sim.call_later,
-            commit=lambda data, nn=n: sink[nn].append(data),
-            abort=lambda nn=n: fail.__setitem__(nn, True),
-            chunk_size=chunk_size,
-        )
+    for n in ["sender"] + names:
+        sim.register(n, lambda src, frame, now, n=n: sessions[n].on_msg(decode_frame(frame), now))
+    sessions = _wire_transfer(sim, "ds:fuzz", payload, chunk_size, "sender",
+                              {n: hashlib.md5(n.encode()).digest() for n in names},
+                              lambda n, data: sink[n].append(data),
+                              lambda n: fail.__setitem__(n, True))
+    sender = sessions["sender"]
+    n_chunks = len(sender.chunks)
     sim.advance(120_000)
 
     ok = all(sink[n] and sink[n][0] == payload for n in names) and not any(fail.values())
@@ -746,33 +733,19 @@ def _corruption_run(seed):
     from .wire import DataMsg
 
     sim = NetworkSim(seed, policy=LinkPolicy(("fixed", 2)))
-    uuid = b"\x09" * 16
     committed, aborted = [], []
-    sessions: dict[str, object] = {}
-
-    sim.register("sender", lambda src, frame, now: sessions["tx"].on_msg(decode_frame(frame), now))
-    sim.register("rx", lambda src, frame, now: sessions["rx"].on_msg(decode_frame(frame), now))
+    for n in ("sender", "rx"):
+        sim.register(n, lambda src, frame, now, n=n: sessions[n].on_msg(decode_frame(frame), now))
     sim.register("evil", lambda *a: None)
-
-    payload = bytes(1000)
-    sessions["tx"] = SenderSession(
-        "ds:bad", payload, {uuid},
-        send=lambda m: sim.send(encode_frame(m), "sender"),
-        schedule=sim.call_later, chunk_size=100,
-    )
-    sessions["rx"] = ReceiverSession(
-        "ds:bad", uuid, max_chunks=10,
-        send=lambda m: sim.send(encode_frame(m), "rx"),
-        schedule=sim.call_later,
-        commit=committed.append, abort=lambda: aborted.append(True),
-        chunk_size=100,
-    )
+    sessions = _wire_transfer(sim, "ds:bad", bytes(1000), 100, "sender", {"rx": b"\x09" * 16},
+                              lambda n, data: committed.append(data),
+                              lambda n: aborted.append(True))
 
     def inject(now):
         sim.send(encode_frame(DataMsg("ds:bad", 4, b"\xff" * 500)), "evil", "rx")
     sim.call_at(8, inject)
     sim.advance(30_000)
-    return bool(aborted) and not committed and sessions["tx"].state.aborted
+    return bool(aborted) and not committed and sessions["sender"].state.aborted
 
 
 # ---------------------------------------------------------------------------
@@ -781,20 +754,18 @@ def _corruption_run(seed):
 
 
 def run_scenario(scenario: Scenario, out_dir) -> dict:
+    """Run a parsed scenario file: agent i is seeded with
+    scenario.seed * 131 + i, every agent subscribes to every edited
+    document, and edits and transfers fire at their scripted times.
+    Writes summary.csv, events.csv, payloads.csv and the first agent's
+    revision log of each document."""
     os.makedirs(out_dir, exist_ok=True)
     sim = NetworkSim(scenario.seed, policy=scenario.policy,
                      topology=Topology(dict(scenario.groups)))
     documents = sorted({e.document for e in scenario.edits}) or ["doc:default"]
-    config = SyncConfig(status_period=scenario.status_period)
-    agents: dict[str, SyncAgent] = {}
-    for i, name in enumerate(scenario.agents):
-        ident = AgentId(bytes([i + 1]) * 16, name)
-        ag = SyncAgent(ident, sim, config, rng=random.Random(scenario.seed * 131 + i))
-        for uri in documents:
-            ag.subscribe(uri)
-        sim.register(name, ag.on_frame, group=scenario.groups.get(name, 0))
-        ag.start()
-        agents[name] = ag
+    configs = [SyncConfig(status_period=scenario.status_period)] * len(scenario.agents)
+    agents = _build_team(sim, scenario.agents, configs, scenario.seed * 131, documents,
+                         scenario.groups)
 
     sim.set_partition(scenario.partitions)
     for group, start, end in scenario.offline:
@@ -818,25 +789,14 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
         payload = rng.randbytes(tr.total_bytes)
 
         def fire(now, t=tr, data=payload):
-            n_chunks = len(split_chunks(data, t.chunk_size))
-            sender = SenderSession(
-                t.dataset, data,
-                {agents[r].ident.uuid for r in t.receivers},
-                send=lambda m: sim.send(encode_frame(m), t.sender),
-                schedule=sim.call_later, chunk_size=t.chunk_size,
+            sessions = _wire_transfer(
+                sim, t.dataset, data, t.chunk_size, t.sender,
+                {r: agents[r].ident.uuid for r in t.receivers},
+                lambda r, d: stores[r].commit(t.dataset, POINTS_CLOUD, d, t.chunk_size),
+                lambda r: stores[r].abort(t.dataset),
             )
-            agents[t.sender].attach_transfer(t.dataset, sender)
-            for r in t.receivers:
-                def commit(d, rr=r, u=t.dataset, cs=t.chunk_size):
-                    stores[rr].commit(u, POINTS_CLOUD, d, cs)
-                receiver = ReceiverSession(
-                    t.dataset, agents[r].ident.uuid, max_chunks=n_chunks,
-                    send=lambda m, rr=r: sim.send(encode_frame(m), rr),
-                    schedule=sim.call_later, commit=commit,
-                    abort=lambda rr=r, u=t.dataset: stores[rr].abort(u),
-                    chunk_size=t.chunk_size,
-                )
-                agents[r].attach_transfer(t.dataset, receiver)
+            for name, session in sessions.items():
+                agents[name].attach_transfer(t.dataset, session)
         sim.call_at(tr.time, fire)
 
     sim.advance(scenario.run_until)

@@ -223,11 +223,6 @@ class NetworkSim:
                     del self._in_flight[key]
         self._now = until
 
-    def run_until_idle(self, hard_limit: int) -> None:
-        while self._heap and self._heap[0][0] <= hard_limit:
-            self.advance(self._heap[0][0])
-        self._now = max(self._now, min(hard_limit, self._now))
-
     def write_event_log(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

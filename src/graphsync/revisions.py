@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from .triples import Delta, canonical_delta_bytes, delta_apply, delta_compute
 
@@ -59,7 +59,9 @@ class ParentLink:
 class Revision:
     """One node of the history DAG.  ``local`` marks a revision that has
     not been published yet; it is the only mutable part and is not
-    covered by the hash."""
+    covered by the hash.  ``signature`` round-trips through the wire
+    and storage layouts, but nothing signs or verifies it:
+    `make_revision` leaves it empty."""
 
     hash: bytes
     author: bytes
@@ -95,13 +97,11 @@ def make_revision(
     author: bytes,
     timestamp: int,
     parents: Iterable[ParentLink],
-    sign: Optional[Callable[[bytes], bytes]] = None,
     local: bool = False,
 ) -> Revision:
     parents = tuple(parents)
     digest = revision_hash(author, timestamp, parents)
-    signature = sign(digest) if sign is not None else b""
-    return Revision(digest, author, timestamp, parents, signature, local)
+    return Revision(digest, author, timestamp, parents, local=local)
 
 
 ROOT_REVISION = make_revision(NULL_AUTHOR, 0, ())
@@ -205,8 +205,12 @@ class GraphOfRevisions:
                 kids = self._children.get(link.parent)
                 if kids is not None:
                     kids.discard(h)
-                    if not kids and link.parent in self._revs:
-                        self._heads.add(link.parent)
+                    if not kids:
+                        if link.parent in self._revs:
+                            self._heads.add(link.parent)
+                        else:
+                            # no present revision references it any more
+                            del self._children[link.parent]
 
     # -- topology -----------------------------------------------------
 
@@ -412,7 +416,6 @@ def merge_revision(
     h_j: bytes,
     author: bytes,
     timestamp: int,
-    sign: Optional[Callable[[bytes], bytes]] = None,
 ) -> Revision:
     """Two-parent revision reconciling the branches at h_i and h_j.
 
@@ -439,7 +442,6 @@ def merge_revision(
         author,
         timestamp,
         (ParentLink(h_i, delta_im), ParentLink(h_j, delta_jm)),
-        sign=sign,
     )
     gor.insert(rev)
     assert gor.materialize(rev.hash) == merged
@@ -461,7 +463,6 @@ def rebase_revisions(
     h_m: bytes,
     h_k: bytes,
     timestamp: int,
-    sign: Optional[Callable[[bytes], bytes]] = None,
     recompute_deltas: bool = False,
 ) -> list[Revision]:
     """Move the linear local branch ending at h_m on top of h_k.
@@ -486,7 +487,6 @@ def rebase_revisions(
             rev.author,
             timestamp,
             (ParentLink(next_parent, delta),),
-            sign=sign,
             local=rev.local,
         )
         gor.insert(copy)
@@ -500,7 +500,6 @@ def squash(
     gor: GraphOfRevisions,
     tip: bytes,
     timestamp: int,
-    sign: Optional[Callable[[bytes], bytes]] = None,
 ) -> Revision:
     """Collapse the maximal linear local chain ending at tip into a
     single revision carrying the combined delta."""
@@ -522,7 +521,6 @@ def squash(
         chain[-1].author,
         timestamp,
         (ParentLink(base, combined),),
-        sign=sign,
         local=True,
     )
     gor.insert(squashed)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 IRI = "iri"
 LITERAL = "literal"
@@ -89,58 +89,6 @@ def triple(s: str, p: str, o) -> Triple:
     return Triple(iri(s), iri(p), obj)
 
 
-WILDCARD = None
-
-
-class Graph:
-    """A set of triples plus the document identifier it belongs to."""
-
-    def __init__(self, uri: str = "", triples: Iterable[Triple] = ()):
-        self.uri = uri
-        self._triples: set[Triple] = set(triples)
-
-    @property
-    def triples(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
-
-    def insert(self, t: Triple) -> None:
-        self._triples.add(t)
-
-    def remove(self, t: Triple) -> None:
-        self._triples.discard(t)
-
-    def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
-
-    def __len__(self) -> int:
-        return len(self._triples)
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Graph):
-            return self._triples == other._triples
-        if isinstance(other, (set, frozenset)):
-            return self._triples == other
-        return NotImplemented
-
-    def match(self, pattern: tuple) -> set[Triple]:
-        """All triples matching the (s, p, o) pattern; None slots are
-        wildcards."""
-        s, p, o = pattern
-        out = set()
-        for t in self._triples:
-            if s is not WILDCARD and t.subject != s:
-                continue
-            if p is not WILDCARD and t.predicate != p:
-                continue
-            if o is not WILDCARD and t.object != o:
-                continue
-            out.add(t)
-        return out
-
-
 @dataclass(frozen=True)
 class Delta:
     """(inserted, removed) between two graph versions.
@@ -163,18 +111,14 @@ class Delta:
 
 def delta_compute(g_i, g_j) -> Delta:
     """Delta from g_i to g_j: inserted = g_j \\ g_i, removed = g_i \\ g_j."""
-    a = g_i.triples if isinstance(g_i, Graph) else frozenset(g_i)
-    b = g_j.triples if isinstance(g_j, Graph) else frozenset(g_j)
+    a = frozenset(g_i)
+    b = frozenset(g_j)
     return Delta(b - a, a - b)
 
 
 def delta_apply(g, d: Delta):
     """(g \\ removed) | inserted.  Removing an absent triple is a no-op."""
-    a = g.triples if isinstance(g, Graph) else frozenset(g)
-    result = (a - d.removed) | d.inserted
-    if isinstance(g, Graph):
-        return Graph(g.uri, result)
-    return result
+    return (frozenset(g) - d.removed) | d.inserted
 
 
 def delta_invert(d: Delta) -> Delta:

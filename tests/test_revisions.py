@@ -105,6 +105,21 @@ class TestInsertAndTopology:
         assert gor.insert(parent) == []
         assert gor.missing_parents() == set()
 
+    def test_remove_forgets_parent_no_present_revision_references(self):
+        gor = GraphOfRevisions("doc:x")
+        parent = make_revision(A_B, 1, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),))
+        kids = [make_revision(A_B, 2 + i, (ParentLink(parent.hash, Delta.of({T[i]}, ())),),
+                              local=True) for i in (1, 2)]
+        for kid in kids:
+            gor.insert(kid)
+        gor.remove([kids[0].hash])
+        assert gor.missing_parents() == {parent.hash}
+        gor.remove([kids[1].hash])
+        assert gor.missing_parents() == set()
+        assert gor.heads() == {ROOT_REVISION.hash}
+        assert gor.insert(parent) == []
+        assert gor.heads() == {parent.hash}
+
     def test_reinsert_root_is_noop(self):
         gor = GraphOfRevisions("doc:x")
         gor.insert(ROOT_REVISION)

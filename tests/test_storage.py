@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -41,8 +42,8 @@ def test_signature_preserved(tmp_path):
     gor = GraphOfRevisions("doc:sig")
     rev = make_revision(
         b"\x01" * 16, 5, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),),
-        sign=lambda digest: b"sig:" + digest[:4],
     )
+    rev = dataclasses.replace(rev, signature=b"sig:" + rev.hash[:4])
     gor.insert(rev)
     path = tmp_path / "doc.log"
     save_document(gor, path)

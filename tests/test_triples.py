@@ -4,7 +4,6 @@ import pytest
 
 from graphsync.triples import (
     Delta,
-    Graph,
     MalformedDelta,
     Term,
     Triple,
@@ -65,41 +64,6 @@ class TestTerms:
         a = skolem_iri(b"\x01" * 16)
         b = skolem_iri(b"\x01" * 16)
         assert a != b and a.kind == "iri"
-
-
-class TestGraph:
-    def test_insert_is_idempotent(self):
-        g = Graph("doc:1")
-        g.insert(T[0])
-        g.insert(T[0])
-        assert len(g) == 1
-
-    def test_match_bound_slots(self):
-        g = Graph("doc:1", [triple("urn:a", "urn:b", "urn:c"), triple("urn:a", "urn:b", "urn:d")])
-        got = g.match((iri("urn:a"), iri("urn:b"), None))
-        assert got == g.triples
-
-    def test_match_full_wildcard_is_scan(self):
-        g = Graph("doc:1", T[:5])
-        assert g.match((None, None, None)) == set(T[:5])
-
-    def test_match_against_linear_scan_oracle(self):
-        rng = random.Random(7)
-        g = Graph("doc:1", random_graph(rng, 50))
-        for _ in range(50):
-            t = random_triple(rng)
-            pat = tuple(
-                slot if rng.random() < 0.5 else None
-                for slot in (t.subject, t.predicate, t.object)
-            )
-            oracle = {
-                t
-                for t in g.triples
-                if (pat[0] is None or t.subject == pat[0])
-                and (pat[1] is None or t.predicate == pat[1])
-                and (pat[2] is None or t.object == pat[2])
-            }
-            assert g.match(pat) == oracle
 
 
 class TestDeltaAlgebra:
