@@ -19,7 +19,7 @@ from .revisions import (
     ParentLink,
     Revision,
 )
-from .triples import Delta, Term, Triple, delta_parse, delta_serialize, IRI, LITERAL
+from .triples import Term, Triple, canonical_key, delta_parse, delta_serialize, IRI, LITERAL
 
 REC_HEADER = 0
 REC_TRIPLE = 1
@@ -98,7 +98,7 @@ def save_document(gor: GraphOfRevisions, path, head: bytes | None = None) -> Non
                 _write_record(
                     fh, REC_DELTA, link.parent + rev.hash + _pack_bytes(delta_text)
                 )
-        for t in sorted(gor.materialize(head), key=Triple.sort_key):
+        for t in sorted(gor.materialize(head), key=canonical_key):
             _write_record(
                 fh,
                 REC_TRIPLE,

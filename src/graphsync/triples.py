@@ -6,28 +6,38 @@ removes first and inserts second, so re-inserting a removed triple is
 well defined.  Deltas have a canonical text encoding (a restricted
 update-language subset: ``INSERT DATA`` / ``DELETE DATA`` blocks) whose
 UTF-8 bytes feed the revision hash, so serialization must be
-deterministic: triples are emitted in canonical order and IRIs are
-always written in full.
+deterministic: IRIs are always written in full and triples are emitted
+in canonical order, the code-point order of (subject, predicate,
+object kind, object value, datatype).  Code-point order of strings is
+the same as the byte order of their UTF-8 encodings, so the order is
+also the byte order of the encoded terms.
+
+A `Delta` caches its canonical text on the first `delta_serialize`
+call.  The cache is computed only from the triple sets, never taken
+from the text a delta was parsed from: that text may use PREFIX forms,
+extra whitespace or dots and any line order, and the revision hash must
+cover the canonical form.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 IRI = "iri"
 LITERAL = "literal"
 
-_KIND_TAG = {IRI: 0, LITERAL: 1}
+_SPACE = re.compile(r"\s")
 
 
 class MalformedDelta(ValueError):
     """Delta text outside the INSERT DATA / DELETE DATA / PREFIX subset."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """An IRI or a literal (optionally typed).  Blank nodes never occur;
     they are skolemized into fresh IRIs at ingestion."""
@@ -40,17 +50,10 @@ class Term:
         if self.kind not in (IRI, LITERAL):
             raise ValueError(f"unknown term kind: {self.kind!r}")
         if self.kind == IRI:
-            if not self.value or any(c.isspace() for c in self.value):
+            if not self.value or _SPACE.search(self.value):
                 raise ValueError(f"invalid IRI: {self.value!r}")
             if self.datatype is not None:
                 raise ValueError("IRI terms carry no datatype")
-
-    def sort_key(self) -> tuple:
-        return (
-            _KIND_TAG[self.kind],
-            self.value.encode("utf-8"),
-            (self.datatype or "").encode("utf-8"),
-        )
 
 
 def iri(value: str) -> Term:
@@ -61,7 +64,7 @@ def literal(value: str, datatype: Optional[str] = None) -> Term:
     return Term(LITERAL, value, datatype)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """(subject, predicate, object); subject and predicate are IRIs."""
 
@@ -75,13 +78,6 @@ class Triple:
         if self.predicate.kind != IRI:
             raise ValueError("triple predicate must be an IRI")
 
-    def sort_key(self) -> tuple:
-        return (
-            self.subject.sort_key(),
-            self.predicate.sort_key(),
-            self.object.sort_key(),
-        )
-
 
 def triple(s: str, p: str, o) -> Triple:
     """Shorthand: IRIs from strings, literals from Term or pre-built Term."""
@@ -89,17 +85,22 @@ def triple(s: str, p: str, o) -> Triple:
     return Triple(iri(s), iri(p), obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delta:
     """(inserted, removed) between two graph versions.
 
     Application removes first, then inserts, so a triple present in both
     sets ends up present.  Deltas computed from two graphs are always
     disjoint; combined deltas along re-insertion histories may overlap.
+
+    ``_text`` caches the canonical text; `delta_serialize` fills it.  It
+    takes no part in equality or hashing, and `dataclasses.replace`
+    does not copy it.
     """
 
     inserted: frozenset[Triple] = frozenset()
     removed: frozenset[Triple] = frozenset()
+    _text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     @staticmethod
     def of(inserted: Iterable[Triple] = (), removed: Iterable[Triple] = ()) -> "Delta":
@@ -131,37 +132,48 @@ def delta_invert(d: Delta) -> Delta:
 # ---------------------------------------------------------------------------
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
-def _term_text(t: Term) -> str:
-    if t.kind == IRI:
-        return f"<{t.value}>"
-    body = "".join(_ESCAPES.get(c, c) for c in t.value)
-    if t.datatype is not None:
-        return f'"{body}"^^<{t.datatype}>'
+def canonical_key(t: Triple) -> tuple:
+    """Sort key of the canonical triple order.  Subject and predicate
+    are always IRIs, and IRI objects sort before literals."""
+    o = t.object
+    return (t.subject.value, t.predicate.value, o.kind != IRI, o.value, o.datatype or "")
+
+
+def _object_text(o: Term) -> str:
+    if o.kind == IRI:
+        return f"<{o.value}>"
+    body = o.value.translate(_ESCAPE_TABLE)
+    if o.datatype is not None:
+        return f'"{body}"^^<{o.datatype}>'
     return f'"{body}"'
 
 
 def _block(keyword: str, triples: Iterable[Triple]) -> str:
     lines = [
-        f" {_term_text(t.subject)} {_term_text(t.predicate)} {_term_text(t.object)}"
-        for t in sorted(triples, key=Triple.sort_key)
+        f" <{t.subject.value}> <{t.predicate.value}> {_object_text(t.object)}"
+        for t in sorted(triples, key=canonical_key)
     ]
     return keyword + " {\n" + "\n".join(lines) + "\n}"
 
 
 def delta_serialize(d: Delta) -> str:
     """Deterministic text form: INSERT DATA block then DELETE DATA block,
-    either omitted when empty; full IRIs only, triples in canonical order."""
-    parts = []
-    if d.inserted:
-        parts.append(_block("INSERT DATA", d.inserted))
-    if d.removed:
-        parts.append(_block("DELETE DATA", d.removed))
-    if not parts:
-        return ""
-    return "\n".join(parts) + "\n"
+    either omitted when empty; full IRIs only, triples in canonical order.
+    Computed from the triple sets once per delta, then cached on it."""
+    text = d._text
+    if text is None:
+        parts = []
+        if d.inserted:
+            parts.append(_block("INSERT DATA", d.inserted))
+        if d.removed:
+            parts.append(_block("DELETE DATA", d.removed))
+        text = "\n".join(parts) + "\n" if parts else ""
+        object.__setattr__(d, "_text", text)
+    return text
 
 
 def canonical_delta_bytes(d: Delta) -> bytes:
@@ -169,67 +181,60 @@ def canonical_delta_bytes(d: Delta) -> bytes:
     return delta_serialize(d).encode("utf-8")
 
 
-class _Tokenizer:
-    """Tokens of the restricted update subset: IRIREF, quoted literal,
-    prefixed name, keywords, braces, dots and ``^^``."""
+# A literal up to its closing quote: only the five escapes of _UNESCAPES.
+# Where this stops in a literal that does not close tells an
+# unterminated literal from a bad escape.
+_LITERAL_HEAD = r'"[^"\\]*(?:\\["\\nrt][^"\\]*)*'
+# One alternative per token kind: IRIREF, quoted literal, ``^^``, brace
+# or dot, bare word (keyword or prefixed name).  The last alternative
+# takes any other non-space character as a one-character error token:
+# an unterminated IRI or literal, a bad escape, a lone ``^`` or ``>``.
+# Whitespace matches no alternative, so findall skips it.  Every token
+# is non-empty.
+_TOKEN = re.compile(
+    r'<[^>]*>'
+    r'|' + _LITERAL_HEAD + r'"'
+    r'|\^\^'
+    r'|[{}.]'
+    r'|[^\s{}<>"^]+'
+    r'|\S'
+)
+_ESCAPE_SEQ = re.compile(r"\\(.)", re.S)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def _error(self, msg: str):
-        raise MalformedDelta(f"{msg} at offset {self.pos}")
+def _is_word(tok: str) -> bool:
+    return tok[0] not in '<>"^{}.'
 
-    def next(self) -> Optional[tuple[str, str]]:
-        text, n = self.text, len(self.text)
-        while self.pos < n and text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= n:
-            return None
-        c = text[self.pos]
-        if c == "<":
-            end = text.find(">", self.pos)
-            if end < 0:
-                self._error("unterminated IRI")
-            value = text[self.pos + 1 : end]
-            self.pos = end + 1
-            return ("iri", value)
-        if c == '"':
-            out = []
-            i = self.pos + 1
-            while i < n:
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 >= n or text[i + 1] not in _UNESCAPES:
-                        self._error("bad escape")
-                    out.append(_UNESCAPES[text[i + 1]])
-                    i += 2
-                elif ch == '"':
-                    self.pos = i + 1
-                    return ("literal", "".join(out))
-                else:
-                    out.append(ch)
-                    i += 1
-            self._error("unterminated literal")
-        if c in "{}.":
-            self.pos += 1
-            return (c, c)
-        if text.startswith("^^", self.pos):
-            self.pos += 2
-            return ("^^", "^^")
-        # bare word: keyword or prefixed name
-        i = self.pos
-        while i < n and not text[i].isspace() and text[i] not in '{}<>"^':
-            i += 1
-        word = text[self.pos : i]
-        self.pos = i
-        return ("word", word)
 
-    def peek(self) -> Optional[tuple[str, str]]:
-        saved = self.pos
-        tok = self.next()
-        self.pos = saved
-        return tok
+def _is_iri_ref(tok: str) -> bool:
+    return len(tok) > 1 and tok[0] == "<"
+
+
+def _is_literal(tok: str) -> bool:
+    return len(tok) > 1 and tok[0] == '"'
+
+
+def _unexpected(text: str, toks: list[str], i: int) -> MalformedDelta:
+    """The error for toks[i], located in the text."""
+    tok = toks[i]
+    if not tok:
+        return MalformedDelta("unexpected end of delta text")
+    pos = next(itertools.islice(_TOKEN.finditer(text), i, None)).start()
+    if tok == "<":
+        msg = "unterminated IRI"
+    elif tok == '"':
+        pos = re.compile(_LITERAL_HEAD).match(text, pos).end()
+        msg = "unterminated literal" if pos == len(text) else "bad escape"
+    else:
+        msg = f"unexpected token {tok!r}"
+    return MalformedDelta(f"{msg} at offset {pos}")
+
+
+def _literal_value(tok: str) -> str:
+    body = tok[1:-1]
+    if "\\" in body:
+        return _ESCAPE_SEQ.sub(lambda m: _UNESCAPES[m.group(1)], body)
+    return body
 
 
 def _expand_pname(word: str, prefixes: dict) -> str:
@@ -241,83 +246,89 @@ def _expand_pname(word: str, prefixes: dict) -> str:
     return prefixes[pfx] + local
 
 
-def _parse_term(tz: _Tokenizer, prefixes: dict) -> Term:
-    tok = tz.next()
-    if tok is None:
-        raise MalformedDelta("unexpected end of delta text")
-    kind, value = tok
-    if kind == "iri":
-        return iri(value)
-    if kind == "literal":
-        nxt = tz.peek()
-        if nxt is not None and nxt[0] == "^^":
-            tz.next()
-            dt = tz.next()
-            if dt is None:
-                raise MalformedDelta("missing datatype after ^^")
-            if dt[0] == "iri":
-                return literal(value, dt[1])
-            if dt[0] == "word":
-                return literal(value, _expand_pname(dt[1], prefixes))
-            raise MalformedDelta("bad datatype")
-        return literal(value)
-    if kind == "word":
-        return iri(_expand_pname(value, prefixes))
-    raise MalformedDelta(f"unexpected token {value!r}")
+def _parse_term(text: str, toks: list[str], i: int, prefixes: dict, terms: dict) -> tuple[Term, int]:
+    """The term starting at toks[i] and the index after it.  Terms
+    without a datatype are shared through ``terms``, keyed by token."""
+    tok = toks[i]
+    if not tok:
+        raise _unexpected(text, toks, i)
+    if toks[i + 1] == "^^":
+        if not _is_literal(tok):
+            raise _unexpected(text, toks, i + 1)
+        dt = toks[i + 2]
+        if not dt:
+            raise MalformedDelta("missing datatype after ^^")
+        if _is_iri_ref(dt):
+            return Term(LITERAL, _literal_value(tok), dt[1:-1]), i + 3
+        if _is_word(dt):
+            return Term(LITERAL, _literal_value(tok), _expand_pname(dt, prefixes)), i + 3
+        raise MalformedDelta("bad datatype")
+    term = terms.get(tok)
+    if term is None:
+        if _is_iri_ref(tok):
+            term = Term(IRI, tok[1:-1])
+        elif _is_literal(tok):
+            term = Term(LITERAL, _literal_value(tok))
+        elif _is_word(tok):
+            term = Term(IRI, _expand_pname(tok, prefixes))
+        else:
+            raise _unexpected(text, toks, i)
+        terms[tok] = term
+    return term, i + 1
 
 
 def delta_parse(text: str) -> Delta:
     """Parse the restricted update subset; inverse of delta_serialize on
     its image.  PREFIX declarations are accepted and expanded.  Anything
     else (WHERE clauses, bare INSERT, ...) raises MalformedDelta."""
-    tz = _Tokenizer(text)
+    toks = _TOKEN.findall(text)
+    toks.append("")  # end sentinel; no token is empty
     prefixes: dict[str, str] = {}
+    terms: dict[str, Term] = {}
     inserted: set[Triple] = set()
     removed: set[Triple] = set()
 
-    while True:
-        tok = tz.next()
-        if tok is None:
-            break
-        kind, value = tok
-        if kind != "word":
-            raise MalformedDelta(f"unexpected token {value!r}")
-        word = value.upper()
+    i = 0
+    while toks[i]:
+        if not _is_word(toks[i]):
+            raise _unexpected(text, toks, i)
+        word = toks[i].upper()
         if word == "PREFIX":
-            name = tz.next()
-            target = tz.next()
-            if name is None or target is None or target[0] != "iri":
-                raise MalformedDelta("malformed PREFIX declaration")
-            if name[0] != "word" or not name[1].endswith(":"):
+            name = toks[i + 1]
+            if not name or not _is_word(name) or not name.endswith(":"):
                 raise MalformedDelta("malformed PREFIX name")
-            prefixes[name[1][:-1]] = target[1]
+            target = toks[i + 2]
+            if not _is_iri_ref(target):
+                raise MalformedDelta("malformed PREFIX declaration")
+            prefixes[name[:-1]] = target[1:-1]
+            terms.clear()  # prefixed names may now expand differently
+            i += 3
             continue
         if word in ("INSERT", "DELETE"):
-            data = tz.next()
-            if data is None or data[0] != "word" or data[1].upper() != "DATA":
+            if toks[i + 1].upper() != "DATA":
                 raise MalformedDelta(f"{word} must be followed by DATA")
-            brace = tz.next()
-            if brace is None or brace[0] != "{":
+            if toks[i + 2] != "{":
                 raise MalformedDelta("expected '{'")
             target = inserted if word == "INSERT" else removed
+            i += 3
             while True:
-                nxt = tz.peek()
-                if nxt is None:
-                    raise MalformedDelta("unterminated block")
-                if nxt[0] == "}":
-                    tz.next()
+                tok = toks[i]
+                if tok == "}":
+                    i += 1
                     break
-                if nxt[0] == ".":
-                    tz.next()
+                if tok == ".":
+                    i += 1
                     continue
-                s = _parse_term(tz, prefixes)
-                p = _parse_term(tz, prefixes)
-                o = _parse_term(tz, prefixes)
+                if not tok:
+                    raise MalformedDelta("unterminated block")
+                s, i = _parse_term(text, toks, i, prefixes, terms)
+                p, i = _parse_term(text, toks, i, prefixes, terms)
+                o, i = _parse_term(text, toks, i, prefixes, terms)
                 if s.kind != IRI or p.kind != IRI:
                     raise MalformedDelta("subject and predicate must be IRIs")
                 target.add(Triple(s, p, o))
             continue
-        raise MalformedDelta(f"disallowed construct: {value!r}")
+        raise MalformedDelta(f"disallowed construct: {toks[i]!r}")
 
     return Delta(frozenset(inserted), frozenset(removed))
 

@@ -1,7 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphsync.revisions import ROOT_REVISION, ParentLink, revision_hash
 from graphsync.triples import (
     Delta,
     MalformedDelta,
@@ -178,11 +182,38 @@ DELETE DATA {
             "INSERT DATA { <urn:a> <urn:b> }",
             "INSERT DATA { ex:a ex:b ex:c }",
             'INSERT DATA { "lit" <urn:p> <urn:o> }',
+            "INSERT DATA { <urn:a> <urn:b> <urn:c }",
+            'INSERT DATA { <urn:a> <urn:b> "abc }',
+            'INSERT DATA { <urn:a> <urn:b> "a\\qb" }',
         ],
     )
     def test_malformed_inputs(self, text):
         with pytest.raises(MalformedDelta):
             delta_parse(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("INSERT DATA { <urn:a> <urn:b> <urn:c }", "unterminated IRI at offset 30"),
+            ('INSERT DATA { <urn:a> <urn:b> "abc }', "unterminated literal at offset 36"),
+            ('INSERT DATA { <urn:a> <urn:b> "a\\qb" }', "bad escape at offset 32"),
+            ('INSERT DATA { <urn:a> <urn:b> "a\\', "bad escape at offset 32"),
+            ("INSERT DATA { <urn:a> <urn:b> ^ }", "unexpected token '^' at offset 30"),
+        ],
+    )
+    def test_tokenizer_errors_name_the_offset(self, text, message):
+        with pytest.raises(MalformedDelta) as err:
+            delta_parse(text)
+        assert str(err.value) == message
+
+    def test_prefix_redeclared_between_blocks(self):
+        d = delta_parse(
+            "PREFIX ex: <urn:a:> INSERT DATA { ex:s ex:p ex:o }\n"
+            "PREFIX ex: <urn:b:> DELETE DATA { ex:s ex:p ex:o }"
+        )
+        assert d == Delta.of(
+            {triple("urn:a:s", "urn:a:p", "urn:a:o")}, {triple("urn:b:s", "urn:b:p", "urn:b:o")}
+        )
 
     def test_round_trip_property(self):
         rng = random.Random(99)
@@ -207,3 +238,191 @@ DELETE DATA {
             assert canonical_delta_bytes(d) == canonical_delta_bytes(
                 Delta(frozenset(d.inserted), frozenset(d.removed))
             )
+
+    def test_canonical_order_is_utf8_byte_order(self):
+        # U+FFFF < U+10000 in code points and in UTF-8 (EF.. < F0..), but
+        # not in UTF-16, where U+10000 starts with the surrogate D800.
+        subjects = ["urn:\uffff", "urn:\U00010000", "urn:a", "urn:a!", "urn:\xe9"]
+        d = Delta.of([triple(s, "urn:p", "urn:o") for s in subjects], ())
+        assert canonical_delta_bytes(d) == reference_delta_bytes(d)
+        lines = canonical_delta_bytes(d).splitlines()[1:-1]
+        assert lines == sorted(lines, key=lambda line: line.split(b">")[0])
+
+
+# ---------------------------------------------------------------------------
+# The codec against its first serializer, and under hostile text
+# ---------------------------------------------------------------------------
+
+_REF_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _ref_term_key(t):
+    return ({"iri": 0, "literal": 1}[t.kind], t.value.encode("utf-8"), (t.datatype or "").encode("utf-8"))
+
+
+def _ref_term_text(t):
+    if t.kind == "iri":
+        return f"<{t.value}>"
+    body = "".join(_REF_ESCAPES.get(c, c) for c in t.value)
+    if t.datatype is not None:
+        return f'"{body}"^^<{t.datatype}>'
+    return f'"{body}"'
+
+
+def _ref_block(keyword, triples):
+    ordered = sorted(
+        triples, key=lambda t: tuple(_ref_term_key(x) for x in (t.subject, t.predicate, t.object))
+    )
+    lines = [" " + " ".join(_ref_term_text(x) for x in (t.subject, t.predicate, t.object)) for t in ordered]
+    return keyword + " {\n" + "\n".join(lines) + "\n}"
+
+
+def reference_delta_bytes(d):
+    """The codec's first serializer, kept as the reference: a byte-keyed
+    sort and per-character escapes."""
+    parts = []
+    if d.inserted:
+        parts.append(_ref_block("INSERT DATA", d.inserted))
+    if d.removed:
+        parts.append(_ref_block("DELETE DATA", d.removed))
+    return ("\n".join(parts) + "\n" if parts else "").encode("utf-8")
+
+
+NS = "http://ex.org/é/"
+# Characters of a bare word, so an IRI under NS can be written ex:local.
+_LOCAL_CHARS = st.characters(
+    blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc"), blacklist_characters='{}<>"^'
+)
+# Any IRI text the codec can carry: no whitespace and no '>'.
+_IRI_CHARS = st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc"), blacklist_characters=">")
+_LITERAL_CHARS = st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000, blacklist_categories=("Cs",)),
+    st.sampled_from('"\\\n\r\t'),
+)
+iri_values = st.one_of(
+    st.text(_LOCAL_CHARS, min_size=1, max_size=6).map(lambda local: NS + local),
+    st.text(_IRI_CHARS, min_size=1, max_size=8),
+)
+iri_terms = iri_values.map(iri)
+literal_terms = st.builds(literal, st.text(_LITERAL_CHARS, max_size=12), st.none() | iri_values)
+triples_st = st.builds(Triple, iri_terms, iri_terms, iri_terms | literal_terms)
+deltas = st.builds(
+    Delta.of, st.frozensets(triples_st, max_size=6), st.frozensets(triples_st, max_size=6)
+)
+
+
+def _loose_iri(value, rng):
+    local = value[len(NS):]
+    if value.startswith(NS) and local and rng.random() < 0.7:
+        return "ex:" + local
+    return f"<{value}>"
+
+
+def _loose_term(t, rng):
+    if t.kind == "iri":
+        return _loose_iri(t.value, rng)
+    # Raw newlines, tabs and carriage returns are legal inside a literal.
+    escapes = _REF_ESCAPES if rng.random() < 0.5 else {"\\": "\\\\", '"': '\\"'}
+    body = '"' + "".join(escapes.get(c, c) for c in t.value) + '"'
+    if t.datatype is None:
+        return body
+    return body + rng.choice(["^^", " ^^ ", "^^\n"]) + _loose_iri(t.datatype, rng)
+
+
+def loose_rendering(d, rng):
+    """A non-canonical text of d: PREFIX form, shuffled lines, any
+    keyword case, extra whitespace and ' .' separators."""
+
+    def space():
+        # U+00A0 is whitespace to the tokenizer, as str.isspace says.
+        return rng.choice([" ", "  ", "\t", "\n", " \u00a0 "])
+
+    out = [f"PREFIX ex: <{NS}>", space()]
+    blocks = [("INSERT DATA", d.inserted), ("DELETE DATA", d.removed)]
+    rng.shuffle(blocks)
+    for keyword, triples in blocks:
+        if not triples and rng.random() < 0.5:
+            continue
+        lines = [
+            space().join(_loose_term(x, rng) for x in (t.subject, t.predicate, t.object))
+            for t in triples
+        ]
+        rng.shuffle(lines)
+        keyword = rng.choice([keyword, keyword.lower(), keyword.title()])
+        out += [keyword, space(), "{", space()]
+        for line in lines:
+            out += [line, rng.choice([" .", "", " . .", "\n"]), space()]
+        out += ["}", space()]
+    return "".join(out)
+
+
+class TestCodecProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(deltas)
+    def test_canonical_bytes_match_reference(self, d):
+        assert canonical_delta_bytes(d) == reference_delta_bytes(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(deltas)
+    def test_parse_inverts_serialize(self, d):
+        assert delta_parse(delta_serialize(d)) == d
+
+    @settings(max_examples=200, deadline=None)
+    @given(deltas, st.randoms(use_true_random=False))
+    def test_loose_rendering_parses_to_canonical_bytes(self, d, rng):
+        parsed = delta_parse(loose_rendering(d, rng))
+        assert parsed == d
+        assert canonical_delta_bytes(parsed) == reference_delta_bytes(d)
+
+    def test_hostile_text_parses_or_raises_value_error(self):
+        d = Delta.of(
+            {
+                Triple(iri(NS + "s"), iri("urn:p"), literal('a "q"\\\n\t\r\U0001F600', NS + "dt")),
+                triple(NS + "s", NS + "p", NS + "o"),
+            },
+            {Triple(iri("urn:s"), iri(NS + "p"), literal(""))},
+        )
+        text = loose_rendering(d, random.Random(7)) + delta_serialize(d)
+        assert delta_parse(text) == d
+        variants = [text[:n] for n in range(len(text))]
+        variants += [text[:i] + c + text[i + 1:] for i in range(len(text)) for c in '<>"\\{}^ ']
+        parsed = 0
+        for variant in variants:
+            try:
+                got = delta_parse(variant)
+            except ValueError:
+                continue
+            parsed += 1
+            assert delta_parse(delta_serialize(got)) == got
+        assert 0 < parsed < len(variants)
+
+
+class TestCanonicalTextCache:
+    TEXT = f"PREFIX ex: <{NS}>\nDELETE DATA {{ ex:b ex:p \"y\" . }}\ninsert data {{ ex:a  ex:p ex:o . }}"
+    D = Delta.of({triple(NS + "a", NS + "p", NS + "o")}, {Triple(iri(NS + "b"), iri(NS + "p"), literal("y"))})
+
+    def test_cache_ignored_by_eq_and_hash(self):
+        fresh = Delta(self.D.inserted, self.D.removed)
+        delta_serialize(self.D)
+        parsed = delta_parse(self.TEXT)
+        assert fresh == self.D == parsed
+        assert hash(fresh) == hash(self.D) == hash(parsed)
+        assert len({fresh, self.D, parsed}) == 1
+        assert delta_serialize(parsed) == delta_serialize(fresh) == delta_serialize(self.D)
+
+    def test_replace_serializes_its_own_triples(self):
+        d = Delta.of({T[0]}, {T[1]})
+        delta_serialize(d)
+        moved = dataclasses.replace(d, inserted=frozenset({T[2]}))
+        assert delta_serialize(moved) == delta_serialize(Delta.of({T[2]}, {T[1]}))
+
+    def test_parsed_delta_hashes_like_one_built_from_sets(self):
+        def digest(delta):
+            return revision_hash(b"\x01" * 16, 5, (ParentLink(ROOT_REVISION.hash, delta),))
+
+        assert digest(delta_parse(self.TEXT)) == digest(Delta(self.D.inserted, self.D.removed))
+
+    def test_codec_types_are_slotted(self):
+        for obj in (self.D, triple("urn:s", "urn:p", "urn:o"), literal("x")):
+            assert not hasattr(obj, "__dict__")
