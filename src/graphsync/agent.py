@@ -237,9 +237,14 @@ class SyncAgent:
         delivering is decoded once for all its receivers and the
         message is shared (see `NetworkSim`), so handlers must treat
         messages and the revisions in them as read-only; any other
-        frame is decoded here."""
-        kind = frame_kind(frame)
-        msg = self.sim.decoded(frame, decode_frame)
+        frame is decoded here.  A frame that does not decode is dropped
+        and counted."""
+        try:
+            kind = frame_kind(frame)
+            msg = self.sim.decoded(frame, decode_frame)
+        except ValueError:
+            self.stats["undecodable"] += 1
+            return
         if kind in TRANSFER_KINDS:
             session = self.transfers.get(msg.dataset_uri)
             if session is not None:
@@ -362,19 +367,14 @@ class SyncAgent:
             return
         if doc.own_head == merge_hash or doc.gor.is_ancestor(doc.own_head, merge_hash):
             return
-        try:
-            ancestor = doc.gor.common_ancestor(doc.own_head, merge_hash)
-            chain = doc.gor.path_revisions(ancestor, doc.own_head)
-        except (NotLinear, KeyError):
-            return
-        if not chain or any(not r.local for r in chain):
-            return
+        # rebase_revisions refuses a chain that is not linear and local
+        # before it changes the graph.
         try:
             moved = rebase_revisions(doc.gor, doc.own_head, merge_hash, now // 1000)
-        except (NotLinear, NotLocal):
+        except (NotLinear, NotLocal, KeyError):
             return
         doc.local_queue = []
-        doc.own_head = moved[-1].hash if moved else merge_hash
+        doc.own_head = moved[-1].hash
         for rev in moved:
             self._publish_revision(doc, rev)
 

@@ -4,7 +4,9 @@ Every revision is content-addressed by a SHA-512 digest over its author,
 timestamp and parent links, so histories can be exchanged and verified
 between agents.  Reconciliation of divergent branches is done either by
 a two-parent merge revision (always applicable) or by rebasing a linear,
-still-local branch onto the other head.
+still-local branch onto the other head.  A merge's branch deltas are
+the deltas between the materialized graphs of the divergence point and
+of each head, which equal the fold of any parent path between them.
 """
 
 from __future__ import annotations
@@ -225,18 +227,7 @@ class GraphOfRevisions:
     def ancestors(self, h: bytes) -> set[bytes]:
         """All strict ancestors of h (excludes h itself)."""
         self.get(h)
-        out: set[bytes] = set()
-        stack = [link.parent for link in self.get(h).parents]
-        while stack:
-            cur = stack.pop()
-            if cur in out:
-                continue
-            out.add(cur)
-            rev = self._revs.get(cur)
-            if rev is None:
-                raise UnresolvedAncestor(cur.hex())
-            stack.extend(link.parent for link in rev.parents)
-        return out
+        return set(self._bfs_distances(h)) - {h}
 
     def is_ancestor(self, a: bytes, b: bytes) -> bool:
         """Strict ancestry: a is reachable from b via parent links."""
@@ -289,36 +280,6 @@ class GraphOfRevisions:
                         nxt.append(link.parent)
             frontier = nxt
         return dist
-
-    def path_deltas(self, ancestor: bytes, descendant: bytes) -> list[Delta]:
-        """Deltas along a shortest parent path, ordered ancestor-first.
-        Parent choice ties break on smaller digest for determinism."""
-        if ancestor == descendant:
-            return []
-        prev: dict[bytes, tuple[bytes, Delta]] = {}
-        dist = {descendant: 0}
-        frontier = [descendant]
-        while frontier and ancestor not in dist:
-            nxt = []
-            for h in sorted(frontier):
-                rev = self._revs.get(h)
-                if rev is None:
-                    raise UnresolvedAncestor(h.hex())
-                for link in sorted(rev.parents, key=lambda l: l.parent):
-                    if link.parent not in dist:
-                        dist[link.parent] = dist[h] + 1
-                        prev[link.parent] = (h, link.delta)
-                        nxt.append(link.parent)
-            frontier = nxt
-        if ancestor not in dist:
-            raise UnknownRevision(f"{ancestor.hex()} is not an ancestor of {descendant.hex()}")
-        deltas = []
-        cur = ancestor
-        while cur != descendant:
-            child, delta = prev[cur]
-            deltas.append(delta)
-            cur = child
-        return deltas
 
     def path_revisions(self, ancestor: bytes, descendant: bytes) -> list[Revision]:
         """Revisions strictly above ancestor up to and including
@@ -393,23 +354,6 @@ def combine_many(path: list[Delta]) -> Delta:
 # ---------------------------------------------------------------------------
 
 
-def _branch_delta(gor: GraphOfRevisions, ancestor: bytes, head: bytes) -> Delta:
-    """Combined branch delta, canonicalized against the ancestor graph.
-
-    The raw fold can carry insert/remove overlaps from re-insertion
-    histories; recomputing against the materialized endpoints keeps the
-    merge formula path-independent in every case.
-    """
-    g_l = gor.materialize(ancestor)
-    if ancestor == head:
-        return Delta()
-    folded = combine_many(gor.path_deltas(ancestor, head))
-    endpoint = delta_apply(g_l, folded)
-    if endpoint != gor.materialize(head):
-        raise MergePathDivergence(head.hex())
-    return delta_compute(g_l, endpoint)
-
-
 def merge_revision(
     gor: GraphOfRevisions,
     h_i: bytes,
@@ -422,17 +366,15 @@ def merge_revision(
     When one head is an ancestor of the other (or they are equal) no new
     revision is needed and the descendant is returned unchanged.
     """
-    if h_i == h_j:
-        return gor.get(h_i)
-    if gor.is_ancestor(h_i, h_j):
+    l = gor.common_ancestor(h_i, h_j)
+    if l == h_i:
         return gor.get(h_j)
-    if gor.is_ancestor(h_j, h_i):
+    if l == h_j:
         return gor.get(h_i)
 
-    l = gor.common_ancestor(h_i, h_j)
     g_l = gor.materialize(l)
-    d_li = _branch_delta(gor, l, h_i)
-    d_lj = _branch_delta(gor, l, h_j)
+    d_li = delta_compute(g_l, gor.materialize(h_i))
+    d_lj = delta_compute(g_l, gor.materialize(h_j))
 
     merged = (g_l - (d_li.removed | d_lj.removed)) | d_li.inserted | d_lj.inserted
     delta_im = Delta(d_lj.inserted - d_li.inserted, d_lj.removed - d_li.removed)

@@ -30,7 +30,9 @@ from typing import Iterable, Optional
 IRI = "iri"
 LITERAL = "literal"
 
-_SPACE = re.compile(r"\s")
+# The codec writes an IRI or a datatype inside <...>, so neither may
+# hold whitespace or '>'.
+_NOT_IN_IRI = re.compile(r"[\s>]")
 
 
 class MalformedDelta(ValueError):
@@ -40,7 +42,8 @@ class MalformedDelta(ValueError):
 @dataclass(frozen=True, slots=True)
 class Term:
     """An IRI or a literal (optionally typed).  Blank nodes never occur;
-    they are skolemized into fresh IRIs at ingestion."""
+    they are skolemized into fresh IRIs at ingestion.  An IRI value and
+    a datatype are non-empty and hold no whitespace and no '>'."""
 
     kind: str
     value: str
@@ -50,10 +53,14 @@ class Term:
         if self.kind not in (IRI, LITERAL):
             raise ValueError(f"unknown term kind: {self.kind!r}")
         if self.kind == IRI:
-            if not self.value or _SPACE.search(self.value):
+            if not self.value or _NOT_IN_IRI.search(self.value):
                 raise ValueError(f"invalid IRI: {self.value!r}")
             if self.datatype is not None:
                 raise ValueError("IRI terms carry no datatype")
+        elif self.datatype is not None and (
+            not self.datatype or _NOT_IN_IRI.search(self.datatype)
+        ):
+            raise ValueError(f"invalid datatype: {self.datatype!r}")
 
 
 def iri(value: str) -> Term:

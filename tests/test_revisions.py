@@ -333,7 +333,10 @@ class TestMerge:
         g0 = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), ts=0)
         g1 = rev_on(gor, g0.hash, Delta.of({T[1]}, ()), ts=1)
         assert merge_revision(gor, g0.hash, g1.hash, A_M, 2) is gor.get(g1.hash)
+        assert merge_revision(gor, g1.hash, g0.hash, A_M, 2) is gor.get(g1.hash)
         assert merge_revision(gor, g1.hash, g1.hash, A_M, 2) is gor.get(g1.hash)
+        with pytest.raises(UnknownRevision):
+            merge_revision(gor, g1.hash, b"\x42" * 64, A_M, 2)
 
     def test_removal_priority(self):
         gor = GraphOfRevisions("doc:x")
@@ -383,6 +386,69 @@ class TestMerge:
                     mirror.insert(r)
             m_ba = merge_revision(mirror, b, a, A_M, 100)
             assert mirror.materialize(m_ba.hash) == g_ab
+
+
+def branch_delta_by_fold(gor, ancestor, head):
+    """Reference for a merge's branch delta: fold the deltas along a
+    shortest parent path from ancestor to head (ties on the smaller
+    digest), apply the fold to the ancestor's graph and take the delta
+    to the result."""
+    g_l = gor.materialize(ancestor)
+    if ancestor == head:
+        return Delta()
+    prev, frontier = {}, [head]
+    while frontier and ancestor not in prev:
+        nxt = []
+        for h in sorted(frontier):
+            for link in sorted(gor.get(h).parents, key=lambda l: l.parent):
+                if link.parent not in prev:
+                    prev[link.parent] = (h, link.delta)
+                    nxt.append(link.parent)
+        frontier = nxt
+    path, cur = [], ancestor
+    while cur != head:
+        cur, delta = prev[cur]
+        path.append(delta)
+    return delta_compute(g_l, delta_apply(g_l, combine_many(path)))
+
+
+def merge_by_fold(gor, h_i, h_j, author, ts):
+    """Reference merge revision built from `branch_delta_by_fold`."""
+    l = gor.common_ancestor(h_i, h_j)
+    d_li, d_lj = branch_delta_by_fold(gor, l, h_i), branch_delta_by_fold(gor, l, h_j)
+    return make_revision(author, ts, (
+        ParentLink(h_i, Delta(d_lj.inserted - d_li.inserted, d_lj.removed - d_li.removed)),
+        ParentLink(h_j, Delta(d_li.inserted - d_lj.inserted, d_li.removed - d_lj.removed)),
+    ))
+
+
+class TestMergeAgainstPathFold:
+    def test_fold_equals_delta_between_materialized_graphs(self):
+        rng = random.Random(5150)
+        pairs = 0
+        for _ in range(60):
+            gor, _ = random_dag(rng, rng.randrange(4, 14))
+            for h in sorted(r.hash for r in gor.revisions()):
+                for a in sorted(gor.ancestors(h)):
+                    fold = branch_delta_by_fold(gor, a, h)
+                    assert fold == delta_compute(gor.materialize(a), gor.materialize(h))
+                    pairs += 1
+        assert pairs > 1000
+
+    def test_merge_equals_merge_built_from_fold(self):
+        rng = random.Random(6160)
+        merges = 0
+        for _ in range(200):
+            gor, heads = random_dag(rng, rng.randrange(4, 14))
+            if len(heads) < 2:
+                continue
+            a, b = rng.sample(heads, 2)
+            ref = merge_by_fold(gor, a, b, A_M, 100)
+            m = merge_revision(gor, a, b, A_M, 100)
+            assert m.parents == ref.parents
+            assert m.hash == ref.hash
+            merges += 1
+        assert merges > 100
 
 
 class TestRebaseAndSquash:

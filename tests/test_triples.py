@@ -53,6 +53,22 @@ class TestTerms:
         with pytest.raises(ValueError):
             iri("")
 
+    @pytest.mark.parametrize("make", [
+        lambda: iri("urn:a>b"),
+        lambda: literal("x", "urn:a> <urn:b"),
+        lambda: literal("x", "urn:has space"),
+        lambda: literal("x", ""),
+    ], ids=["iri-gt", "datatype-gt", "datatype-space", "datatype-empty"])
+    def test_rejects_what_the_codec_cannot_carry(self, make):
+        """IRIs and datatypes are written inside <...>; an empty datatype
+        would share its canonical key with an untyped literal."""
+        with pytest.raises(ValueError):
+            make()
+
+    def test_parse_rejects_empty_datatype(self):
+        with pytest.raises(ValueError):
+            delta_parse('INSERT DATA { <urn:s> <urn:p> "x"^^<> }')
+
     def test_equality_is_byte_equality(self):
         assert iri("urn:a") == iri("urn:a")
         assert literal("1") != literal("1", "urn:dt:int")
