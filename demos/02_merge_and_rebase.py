@@ -25,10 +25,9 @@ def build_branches():
         AGENT_B, 1, (ParentLink(base.hash, Delta.of({T[3], T[4]}, {T[0], T[1]})),)
     )
     right = make_revision(
-        AGENT_C, 1, (ParentLink(base.hash, Delta.of({T[4], T[5]}, {T[1], T[2]})),),
-        local=True,
+        AGENT_C, 1, (ParentLink(base.hash, Delta.of({T[4], T[5]}, {T[1], T[2]})),)
     )
-    gor.insert(left), gor.insert(right)
+    gor.insert(left), gor.insert(right, local=True)
     return gor, base, left, right
 
 
@@ -58,10 +57,8 @@ print("  merge and rebase agree on the final graph: ok")
 
 # squashing collapses a multi-revision local branch before the move
 gor3, base3, left3, right3 = build_branches()
-extra = make_revision(
-    AGENT_C, 2, (ParentLink(right3.hash, Delta.of({T[0]}, ())),), local=True
-)
-gor3.insert(extra)
+extra = make_revision(AGENT_C, 2, (ParentLink(right3.hash, Delta.of({T[0]}, ())),))
+gor3.insert(extra, local=True)
 one = squash(gor3, extra.hash, timestamp=3)
 moved3 = rebase_revisions(gor3, one.hash, left3.hash, timestamp=4)
 print("\nsquash before rebase publishes", len(moved3), "revision instead of 2")

@@ -30,7 +30,6 @@ from typing import Iterable, Optional
 
 from .revisions import (
     GraphOfRevisions,
-    HashMismatch,
     NotLinear,
     NotLocal,
     ParentLink,
@@ -75,12 +74,14 @@ TRANSFER_KINDS = {
 POLICY_MERGE_REBASE = "merge-rebase"
 POLICY_MERGE_ONLY = "merge-only"
 
+# in status periods: how long an unheard peer is kept, an election open
+LIVENESS_PERIODS = 3
+ELECTION_WINDOW_PERIODS = 2
+
 
 @dataclass
 class SyncConfig:
     status_period: int = 1000
-    liveness_periods: int = 3
-    election_window_periods: int = 2
     merge_duration: int = 0
     policy: str = POLICY_MERGE_REBASE
 
@@ -173,8 +174,7 @@ class SyncAgent:
         self.sim.send(encode_frame(msg), self.name)
 
     def _publish_revision(self, doc: DocState, rev: Revision) -> None:
-        if rev.local:
-            rev.local = False
+        doc.gor.publish(rev.hash)
         if rev.hash in doc.local_queue:
             doc.local_queue.remove(rev.hash)
         self.published_log.append(rev.hash)
@@ -208,13 +208,8 @@ class SyncAgent:
         known head, else queue it."""
         now = self.sim.clock() if now is None else now
         doc = self.subscribe(uri)
-        rev = make_revision(
-            self.ident.uuid,
-            now // 1000,
-            (ParentLink(doc.own_head, delta),),
-            local=True,
-        )
-        doc.gor.insert(rev)
+        rev = make_revision(self.ident.uuid, now // 1000, (ParentLink(doc.own_head, delta),))
+        doc.gor.insert(rev, local=True)
         doc.own_head = rev.hash
         if self.config.policy == POLICY_MERGE_ONLY or self._synced_with_master(doc, rev):
             self._publish_revision(doc, rev)
@@ -235,10 +230,10 @@ class SyncAgent:
     def on_frame(self, src: str, frame: bytes, now: int) -> None:
         """Handle one inbound frame.  A frame the simulator is
         delivering is decoded once for all its receivers and the
-        message is shared (see `NetworkSim`), so handlers must treat
-        messages and the revisions in them as read-only; any other
-        frame is decoded here.  A frame that does not decode is dropped
-        and counted."""
+        message is shared (see `NetworkSim`): messages and revisions are
+        immutable, and local-ness lives in each agent's own graph.  Any
+        other frame is decoded here.  A frame that does not decode (a
+        revision with a wrong digest too) is dropped and counted."""
         try:
             kind = frame_kind(frame)
             msg = self.sim.decoded(frame, decode_frame)
@@ -302,7 +297,7 @@ class SyncAgent:
         if len(masters) > 1:
             self._start_election(doc, now, 0, ())
         elif not masters:
-            grace = self.config.liveness_periods * self.config.status_period
+            grace = LIVENESS_PERIODS * self.config.status_period
             # let status gossip populate the peer table before concluding
             # that no master exists
             if now - self.start_time < grace:
@@ -321,11 +316,7 @@ class SyncAgent:
 
     def _handle_revision(self, doc: DocState, msg: RevisionMsg, now: int) -> None:
         rev = msg.revision
-        try:
-            missing = doc.gor.insert(rev)
-        except HashMismatch:
-            self.stats["hash_mismatch"] += 1
-            return
+        missing = doc.gor.insert(rev)
         if missing:
             self._request(doc, missing, now)
         doc.outstanding.pop(rev.hash, None)
@@ -455,7 +446,7 @@ class SyncAgent:
     def _start_election(self, doc: DocState, now: int, rnd: int,
                         candidates: tuple[bytes, ...]) -> None:
         vote = self._choose_vote(doc, candidates)
-        window = self.config.election_window_periods * self.config.status_period
+        window = ELECTION_WINDOW_PERIODS * self.config.status_period
         doc.election = Election(rnd, now, now + window, {self.ident.uuid: vote}, candidates)
         self.stats["max_election_round"] = max(self.stats["max_election_round"], rnd)
         doc.last_voted_for = vote
@@ -508,7 +499,7 @@ class SyncAgent:
         """Status gossip, peer liveness, request retries and election
         deadlines; safe to call at any monotone time."""
         period = self.config.status_period
-        timeout = self.config.liveness_periods * period
+        timeout = LIVENESS_PERIODS * period
         for doc in self.documents.values():
             if doc.last_status_sent is None or now - doc.last_status_sent >= period:
                 self._send_status(doc, now)

@@ -218,11 +218,8 @@ def _build_rebase_world(n_revisions: int, changes: int, seed: int):
         inserts = {triple(f"urn:src:{k}:{i}", "urn:p", "urn:v") for i in range(changes // 2)}
         removals = {t for t in sorted(graph, key=repr) if rng.random() < 0.1}
         removals = set(list(removals)[: changes - len(inserts)])
-        rev = make_revision(
-            b"\x03" * 16, 2 + k,
-            (ParentLink(head, Delta.of(inserts, removals)),), local=True,
-        )
-        gor.insert(rev)
+        rev = make_revision(b"\x03" * 16, 2 + k, (ParentLink(head, Delta.of(inserts, removals)),))
+        gor.insert(rev, local=True)
         head = rev.hash
         graph = gor.materialize(head)
     return gor, dest.hash, head

@@ -72,10 +72,10 @@ class NetworkSim:
     world: while copies of it are queued, the first receiver that asks
     `decoded` for its message decodes it and every other receiver,
     duplicated copies included, gets the same message object.  That is
-    safe because wire messages are frozen and a `Revision` decoded from
-    the wire is never marked local, so no receiver mutates what it
-    shares.  The entry is dropped when the last queued copy has been
-    dispatched or dropped, so the memo holds only frames in flight.
+    safe because wire messages and revisions are frozen, and each
+    receiver keeps whether a revision is local in its own graph.  The
+    entry is dropped when the last queued copy has been dispatched or
+    dropped, so the memo holds only frames in flight.
     """
 
     def __init__(

@@ -2,18 +2,22 @@
 
 Every revision is content-addressed by a SHA-512 digest over its author,
 timestamp and parent links, so histories can be exchanged and verified
-between agents.  Reconciliation of divergent branches is done either by
-a two-parent merge revision (always applicable) or by rebasing a linear,
-still-local branch onto the other head.  A merge's branch deltas are
-the deltas between the materialized graphs of the divergence point and
-of each head, which equal the fold of any parent path between them.
+between agents.  A `Revision` is immutable and hashes itself when built;
+one from outside (a frame or a log) enters through `verified_revision`,
+which checks its claimed digest once.  Whether a revision is still
+unpublished (local) is kept by each `GraphOfRevisions`.  Reconciliation
+of divergent branches is done either by a two-parent merge revision
+(always applicable) or by rebasing a linear, still-local branch onto
+the other head.  A merge's branch deltas are the deltas between the
+materialized graphs of the divergence point and of each head, which
+equal the fold of any parent path between them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .triples import Delta, canonical_delta_bytes, delta_apply, delta_compute
@@ -25,6 +29,10 @@ NULL_AUTHOR = b"\x00" * UUID_LEN
 
 class HashMismatch(ValueError):
     """Revision content does not hash to its claimed digest."""
+
+
+class MalformedRevision(ValueError):
+    """A revision from outside has neither one nor two parent links."""
 
 
 class UnknownRevision(KeyError):
@@ -57,20 +65,19 @@ class ParentLink:
     delta: Delta
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Revision:
-    """One node of the history DAG.  ``local`` marks a revision that has
-    not been published yet; it is the only mutable part and is not
-    covered by the hash.  ``signature`` round-trips through the wire
-    and storage layouts, but nothing signs or verifies it:
-    `make_revision` leaves it empty."""
+    """One node of the history DAG.  ``hash`` is computed from the other
+    fields when the revision is built, so a `Revision` always matches
+    its digest (`dataclasses.replace` recomputes it too)."""
 
-    hash: bytes
+    hash: bytes = field(init=False)
     author: bytes
     timestamp: int
     parents: tuple[ParentLink, ...]
-    signature: bytes = b""
-    local: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "hash", revision_hash(self.author, self.timestamp, self.parents))
 
     @property
     def is_merge(self) -> bool:
@@ -95,15 +102,24 @@ def revision_hash(author: bytes, timestamp: int, parents: Iterable[ParentLink]) 
     return h.digest()
 
 
-def make_revision(
-    author: bytes,
-    timestamp: int,
-    parents: Iterable[ParentLink],
-    local: bool = False,
+def make_revision(author: bytes, timestamp: int, parents: Iterable[ParentLink]) -> Revision:
+    return Revision(author, timestamp, tuple(parents))
+
+
+def verified_revision(
+    digest: bytes, author: bytes, timestamp: int, parents: Iterable[ParentLink]
 ) -> Revision:
+    """A revision received from outside this process, checked against
+    the digest it claims.  Raises `MalformedRevision` unless it has one
+    or two parent links (only the root has none, and no one sends it),
+    and `HashMismatch` unless its content hashes to `digest`."""
     parents = tuple(parents)
-    digest = revision_hash(author, timestamp, parents)
-    return Revision(digest, author, timestamp, parents, local=local)
+    if not 1 <= len(parents) <= 2:
+        raise MalformedRevision(f"{len(parents)} parent links")
+    rev = Revision(author, timestamp, parents)
+    if rev.hash != digest:
+        raise HashMismatch(digest.hex())
+    return rev
 
 
 ROOT_REVISION = make_revision(NULL_AUTHOR, 0, ())
@@ -114,7 +130,9 @@ class GraphOfRevisions:
 
     Revisions may arrive before their parents; they are stored anyway
     and the unresolved parent digests are reported so the caller can
-    request them.  Materializations are cached per revision.
+    request them.  Materializations are cached per revision.  ``_local``
+    holds the unpublished revisions, the only ones that may be rebased,
+    squashed or removed.
 
     Two indexes are kept up to date by `insert` and `remove`, so the
     per-frame queries `heads` and `resolved` cost no history walk:
@@ -135,6 +153,7 @@ class GraphOfRevisions:
         self._mat: dict[bytes, frozenset] = {ROOT_REVISION.hash: frozenset()}
         self._heads: set[bytes] = {ROOT_REVISION.hash}
         self._resolved: set[bytes] = {ROOT_REVISION.hash}
+        self._local: set[bytes] = set()
 
     # -- basic access -------------------------------------------------
 
@@ -155,13 +174,14 @@ class GraphOfRevisions:
 
     # -- insertion ----------------------------------------------------
 
-    def insert(self, rev: Revision) -> list[bytes]:
-        """Insert after verifying the digest; idempotent.  Returns the
-        parent digests not present yet."""
-        if revision_hash(rev.author, rev.timestamp, rev.parents) != rev.hash:
-            raise HashMismatch(rev.hash.hex())
+    def insert(self, rev: Revision, *, local: bool = False) -> list[bytes]:
+        """Insert a revision, marked unpublished when ``local``; a
+        revision already present keeps its state.  Returns the parent
+        digests not present yet."""
         if rev.hash not in self._revs:
             self._revs[rev.hash] = rev
+            if local:
+                self._local.add(rev.hash)
             if not self._children.setdefault(rev.hash, set()):
                 self._heads.add(rev.hash)
             for link in rev.parents:
@@ -169,6 +189,12 @@ class GraphOfRevisions:
                 self._heads.discard(link.parent)
             self._spread_resolution(rev.hash)
         return [link.parent for link in rev.parents if link.parent not in self._revs]
+
+    def is_local(self, h: bytes) -> bool:
+        return h in self._local
+
+    def publish(self, h: bytes) -> None:
+        self._local.discard(h)
 
     def _spread_resolution(self, h: bytes) -> None:
         """Mark h resolved if all its parents are, then every present
@@ -192,8 +218,8 @@ class GraphOfRevisions:
         revision that still has children outside the dropped set."""
         doomed = set(hashes)
         for h in doomed:
-            rev = self.get(h)
-            if not rev.local:
+            self.get(h)
+            if h not in self._local:
                 raise NotLocal(h.hex())
             if self._children.get(h, set()) - doomed:
                 raise ValueError("cannot remove a revision with live children")
@@ -203,6 +229,7 @@ class GraphOfRevisions:
             self._mat.pop(h, None)
             self._heads.discard(h)
             self._resolved.discard(h)
+            self._local.discard(h)
             for link in rev.parents:
                 kids = self._children.get(link.parent)
                 if kids is not None:
@@ -392,7 +419,7 @@ def merge_revision(
 
 def _check_linear_local(gor: GraphOfRevisions, chain: list[Revision]) -> None:
     for idx, rev in enumerate(chain):
-        if not rev.local:
+        if rev.hash not in gor._local:
             raise NotLocal(rev.hash.hex())
         kids = gor._children.get(rev.hash, set())
         expected = {chain[idx + 1].hash} if idx + 1 < len(chain) else set()
@@ -425,13 +452,8 @@ def rebase_revisions(
         if recompute_deltas:
             base = gor.materialize(next_parent)
             delta = delta_compute(base, delta_apply(base, delta))
-        copy = make_revision(
-            rev.author,
-            timestamp,
-            (ParentLink(next_parent, delta),),
-            local=rev.local,
-        )
-        gor.insert(copy)
+        copy = make_revision(rev.author, timestamp, (ParentLink(next_parent, delta),))
+        gor.insert(copy, local=True)
         new_revs.append(copy)
         next_parent = copy.hash
     gor.remove(rev.hash for rev in chain)
@@ -449,7 +471,7 @@ def squash(
     cur = tip
     while True:
         rev = gor.get(cur)
-        if not rev.local or rev.is_merge or rev.is_root:
+        if cur not in gor._local or rev.is_merge:
             break
         chain.append(rev)
         cur = rev.parents[0].parent
@@ -459,12 +481,7 @@ def squash(
     _check_linear_local(gor, chain)
     base = chain[0].parents[0].parent
     combined = combine_many([r.parents[0].delta for r in chain])
-    squashed = make_revision(
-        chain[-1].author,
-        timestamp,
-        (ParentLink(base, combined),),
-        local=True,
-    )
-    gor.insert(squashed)
+    squashed = make_revision(chain[-1].author, timestamp, (ParentLink(base, combined),))
+    gor.insert(squashed, local=True)
     gor.remove(rev.hash for rev in chain)
     return squashed

@@ -5,7 +5,8 @@ triple records for the head graph, revision records for the metadata,
 and delta records for the parent edges.  Records are length-prefixed
 binary frames; reloading rebuilds the graph of revisions, re-verifies
 every revision hash and cross-checks the head materialization against
-the stored triples.
+the stored triples.  A revision record's signature field is written
+empty and skipped on read.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .revisions import (
     GraphOfRevisions,
     ParentLink,
     Revision,
+    verified_revision,
 )
 from .triples import Term, Triple, canonical_key, delta_parse, delta_serialize, IRI, LITERAL
 
@@ -89,8 +91,8 @@ def save_document(gor: GraphOfRevisions, path, head: bytes | None = None) -> Non
             body = (
                 rev.hash
                 + rev.author
-                + struct.pack(">qB?", rev.timestamp, len(rev.parents), rev.local)
-                + _pack_bytes(rev.signature)
+                + struct.pack(">qB?", rev.timestamp, len(rev.parents), gor.is_local(rev.hash))
+                + _pack_bytes(b"")
             )
             _write_record(fh, REC_REVISION, body)
             for link in rev.parents:
@@ -133,7 +135,7 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
         data = fh.read()
 
     uri, head = "", b""
-    revisions: dict[bytes, dict] = {}
+    revisions: dict[bytes, tuple] = {}
     triples: set[Triple] = set()
 
     pos = 0
@@ -153,43 +155,29 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
             h = r.take(HASH_LEN)
             author = r.take(16)
             timestamp, n_parents, local = struct.unpack(">qB?", r.take(10))
-            signature = r.take_bytes()
-            revisions[h] = {
-                "author": author,
-                "timestamp": timestamp,
-                "n_parents": n_parents,
-                "local": local,
-                "signature": signature,
-                "links": [],
-            }
+            r.take_bytes()  # signature
+            revisions[h] = (author, timestamp, n_parents, local, [])
         elif kind == REC_DELTA:
             parent = r.take(HASH_LEN)
             child = r.take(HASH_LEN)
             delta = delta_parse(r.take_bytes().decode("utf-8"))
             if child not in revisions:
                 raise CorruptLog("delta record before its revision record")
-            revisions[child]["links"].append(ParentLink(parent, delta))
+            revisions[child][4].append(ParentLink(parent, delta))
         elif kind == REC_TRIPLE:
             triples.add(Triple(_decode_term(r), _decode_term(r), _decode_term(r)))
         else:
             raise CorruptLog(f"unknown record kind {kind}")
 
     gor = GraphOfRevisions(uri)
-    for h, fields in revisions.items():
-        if len(fields["links"]) != fields["n_parents"]:
+    for h, (author, timestamp, n_parents, local, links) in revisions.items():
+        if len(links) != n_parents:
             raise CorruptLog("parent count mismatch")
-        rev = Revision(
-            h,
-            fields["author"],
-            fields["timestamp"],
-            tuple(fields["links"]),
-            fields["signature"],
-            fields["local"],
-        )
         try:
-            gor.insert(rev)
-        except Exception as exc:
+            rev = verified_revision(h, author, timestamp, links)
+        except ValueError as exc:
             raise CorruptLog(f"revision rejected: {exc}") from exc
+        gor.insert(rev, local=local)
     if gor.missing_parents():
         raise CorruptLog("log references unknown parents")
     if head not in gor:

@@ -3,7 +3,9 @@
 Frame layout: one kind byte, a length-prefixed document (or dataset)
 URI, then the message body.  Digests travel as raw 64 bytes, agent
 UUIDs as raw 16 bytes, and deltas as their canonical text encoding.
-The layouts are frozen; golden-frame tests pin the exact bytes.
+The layouts are frozen; golden-frame tests pin the exact bytes.  The
+signature field of a revision frame is written empty and skipped on
+read; decoding checks the revision's digest (`verified_revision`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .revisions import HASH_LEN, UUID_LEN, ParentLink, Revision
+from .revisions import HASH_LEN, UUID_LEN, ParentLink, Revision, verified_revision
 from .triples import delta_parse, delta_serialize
 
 KIND_STATUS = 1
@@ -167,7 +169,7 @@ def encode_frame(msg) -> bytes:
             rev.author
             + struct.pack(">q", rev.timestamp)
             + rev.hash
-            + _pack(rev.signature)
+            + _pack(b"")
             + bytes([len(rev.parents)])
         )
         for link in rev.parents:
@@ -243,7 +245,7 @@ def decode_frame(raw: bytes):
         author = body.take(UUID_LEN)
         (timestamp,) = struct.unpack(">q", body.take(8))
         digest = body.take(HASH_LEN)
-        signature = body.take_prefixed()
+        body.take_prefixed()  # signature
         n_parents = body.take(1)[0]
         links = []
         for _ in range(n_parents):
@@ -251,7 +253,7 @@ def decode_frame(raw: bytes):
             delta = delta_parse(body.take_prefixed("I").decode("utf-8"))
             links.append(ParentLink(parent, delta))
         body.done()
-        return RevisionMsg(uri, Revision(digest, author, timestamp, tuple(links), signature))
+        return RevisionMsg(uri, verified_revision(digest, author, timestamp, links))
     if kind == KIND_REVISION_REQUEST:
         requester = body.take(UUID_LEN)
         (count,) = struct.unpack(">H", body.take(2))

@@ -63,9 +63,8 @@ class TestCriterion1WorkedExample:
         g1 = make_revision(b"\x0b" * 16, 1,
                            (ParentLink(g0.hash, Delta.of({T[3], T[4]}, {T[0], T[1]}),),))
         g2 = make_revision(b"\x0c" * 16, 1,
-                           (ParentLink(g0.hash, Delta.of({T[4], T[5]}, {T[1], T[2]}),),),
-                           local=True)
-        gor.insert(g1), gor.insert(g2)
+                           (ParentLink(g0.hash, Delta.of({T[4], T[5]}, {T[1], T[2]}),),))
+        gor.insert(g1), gor.insert(g2, local=True)
 
         assert gor.materialize(g1.hash) == {T[2], T[3], T[4]}
         assert gor.materialize(g2.hash) == {T[0], T[4], T[5]}
@@ -78,17 +77,13 @@ class TestCriterion1WorkedExample:
 
         # rebase variant on a fresh world
         gor2 = GraphOfRevisions("doc:ex")
-        gor2.insert(g0), gor2.insert(g1), gor2.insert(g2)
+        gor2.insert(g0), gor2.insert(g1), gor2.insert(g2, local=True)
         moved = rebase_revisions(gor2, g2.hash, g1.hash, timestamp=2)
         assert gor2.materialize(moved[-1].hash) == {T[3], T[4], T[5]}
 
         gor3 = GraphOfRevisions("doc:ex")
-        gor3.insert(g0), gor3.insert(g1)
-        g2b = make_revision(b"\x0c" * 16, 1,
-                            (ParentLink(g0.hash, Delta.of({T[4], T[5]}, {T[1], T[2]}),),),
-                            local=True)
-        gor3.insert(g2b)
-        moved = rebase_revisions(gor3, g2b.hash, g1.hash, timestamp=2,
+        gor3.insert(g0), gor3.insert(g1), gor3.insert(g2, local=True)
+        moved = rebase_revisions(gor3, g2.hash, g1.hash, timestamp=2,
                                  recompute_deltas=True)
         assert moved[0].parents[0].delta == Delta.of({T[5]}, {T[2]})
         assert gor3.materialize(moved[-1].hash) == {T[3], T[4], T[5]}

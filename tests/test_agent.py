@@ -52,7 +52,7 @@ class TestLocalChangePolicy:
     def test_change_queued_before_any_master_known(self):
         sim, (a, b) = make_team(2)
         rev = a.local_change(DOC, Delta.of(fresh_triples("a", 2), ()))
-        assert rev.local
+        assert a.documents[DOC].gor.is_local(rev.hash)
         assert a.documents[DOC].local_queue == [rev.hash]
 
     def test_change_published_when_synced_with_master(self):
@@ -60,7 +60,7 @@ class TestLocalChangePolicy:
         for agent in (a, b):
             agent.preset_master(DOC, a.ident.uuid)
         rev = b.local_change(DOC, Delta.of(fresh_triples("b", 1), ()))
-        assert not rev.local
+        assert not b.documents[DOC].gor.is_local(rev.hash)
         assert b.documents[DOC].local_queue == []
         sim.advance(50)
         assert rev.hash in a.documents[DOC].gor
@@ -77,7 +77,7 @@ class TestLocalChangePolicy:
     def test_merge_only_policy_always_publishes(self):
         sim, (a, b) = make_team(2, config=SyncConfig(policy=POLICY_MERGE_ONLY))
         rev = b.local_change(DOC, Delta.of(fresh_triples("b", 1), ()))
-        assert not rev.local
+        assert not b.documents[DOC].gor.is_local(rev.hash)
 
 
 class TestExternalRevisions:
@@ -130,7 +130,7 @@ class TestExternalRevisions:
         b.local_change(DOC, Delta.of(fresh_triples("b", 1), ()))
         sim.advance(7)
         queued = b.local_change(DOC, Delta.of(fresh_triples("b2", 1), ()))
-        assert queued.local and b.documents[DOC].local_queue
+        assert b.documents[DOC].gor.is_local(queued.hash) and b.documents[DOC].local_queue
         sim.advance(5000)
         assert not b.documents[DOC].local_queue
         assert converged((a, b))
@@ -176,12 +176,12 @@ class TestRevisionRequests:
             agent.preset_master(DOC, a.ident.uuid)
         b.documents[DOC].master_head = b"\x55" * 64   # master is ahead, b desynced
         local = b.local_change(DOC, Delta.of(fresh_triples("b", 1), ()))
-        assert local.local
+        assert b.documents[DOC].gor.is_local(local.hash)
         msg = RevisionRequestMsg(DOC, a.ident.uuid, (local.hash,))
         b.on_frame("a0", encode_frame(msg), 100)
         sim.advance(200)
         assert local.hash in a.documents[DOC].gor
-        assert not b.documents[DOC].gor.get(local.hash).local
+        assert not b.documents[DOC].gor.is_local(local.hash)
 
     def test_nonmaster_request_to_nonmaster_is_silent(self):
         sim, (a, b, c) = make_team(3)
@@ -332,7 +332,8 @@ class TestDecodeOnce:
         sim.advance(500)
         assert sum(f is frame for f in decodes) == 1
         received = [ag.documents[DOC].gor.get(rev.hash) for ag in agents[1:]]
-        assert all(r is received[0] and not r.local for r in received)
+        assert all(r is received[0] for r in received)
+        assert not any(ag.documents[DOC].gor.is_local(rev.hash) for ag in agents)
         assert sim._in_flight == {}
 
     def test_malformed_frame_caches_nothing(self, decodes):
@@ -408,3 +409,47 @@ class TestUndecodableFrames:
         assert agents[0].head_graph(DOC) == frozenset().union(
             *(fresh_triples(f"t{i}", 2) for i in range(3)))
         assert all(ag.stats["undecodable"] > 100 for ag in agents)
+
+
+class TestOutsideRevisions:
+    """Revision frames from an outside endpoint that hold a revision no
+    agent may accept: a wrong digest, no parent, three parents."""
+
+    @staticmethod
+    def team_beside(frames):
+        sim, agents = make_team(3)
+
+        def inject(now):
+            for frame in frames:
+                sim.send(frame, "mallory")
+
+        sim.register("mallory", lambda src, frame, now: None)
+        sim.call_at(9000, inject)
+        sim.advance(8000)
+        for i, ag in enumerate(agents):
+            ag.local_change(DOC, Delta.of(fresh_triples(f"t{i}", 2), ()))
+        sim.advance(40_000)
+        assert converged(agents)
+        assert agents[0].head_graph(DOC) == frozenset().union(
+            *(fresh_triples(f"t{i}", 2) for i in range(3)))
+        return agents
+
+    def test_flipped_digest_is_undecodable_and_never_inserted(self):
+        rev = make_revision(b"\x09" * 16, 9, (
+            ParentLink(ROOT_REVISION.hash, Delta.of(fresh_triples("x", 1), ())),))
+        frame = encode_frame(RevisionMsg(DOC, rev))
+        at = frame.index(rev.hash)
+        bad = frame[:at] + bytes([frame[at] ^ 1]) + frame[at + 1:]
+        agents = self.team_beside([bad])
+        assert [ag.stats["undecodable"] for ag in agents] == [1, 1, 1]
+        for ag in agents:
+            assert rev.hash not in ag.documents[DOC].gor
+            assert bad[at:at + 64] not in ag.documents[DOC].gor
+
+    def test_revisions_without_one_or_two_parents_are_undecodable(self):
+        link = ParentLink(ROOT_REVISION.hash, Delta.of(fresh_triples("x", 1), ()))
+        orphan = make_revision(b"\x09" * 16, 9, ())
+        three = make_revision(b"\x09" * 16, 9, (link, link, link))
+        agents = self.team_beside([encode_frame(RevisionMsg(DOC, r)) for r in (orphan, three)])
+        assert [ag.stats["undecodable"] for ag in agents] == [2, 2, 2]
+        assert all(r.hash not in ag.documents[DOC].gor for ag in agents for r in (orphan, three))

@@ -34,3 +34,25 @@ def test_install_then_remove_restores_every_patched_name():
     assert patched
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
     assert tracer._on_gc not in gc.callbacks
+
+
+def test_insert_with_keyword_local_is_counted_once():
+    """`count_known` unpacks the positional arguments of `insert` as
+    (graph, revision), so `local` must stay keyword-only."""
+    import inspect
+
+    from graphsync.revisions import ROOT_REVISION, GraphOfRevisions, ParentLink, make_revision
+    from graphsync.triples import Delta
+
+    local = inspect.signature(GraphOfRevisions.insert).parameters["local"]
+    assert local.kind is inspect.Parameter.KEYWORD_ONLY
+    rev = make_revision(b"\x01" * 16, 1, (ParentLink(ROOT_REVISION.hash, Delta()),))
+    gor = GraphOfRevisions("doc:traced")
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        gor.insert(rev, local=True)
+    finally:
+        tracer.remove()
+    assert tracer.calls_of("revisions.insert") == 1
+    assert gor.is_local(rev.hash)

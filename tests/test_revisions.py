@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import struct
@@ -10,11 +11,11 @@ from graphsync.revisions import (
     ROOT_REVISION,
     GraphOfRevisions,
     HashMismatch,
+    MalformedRevision,
     NotLinear,
     NotLocal,
     EmptyPath,
     ParentLink,
-    Revision,
     UnknownRevision,
     UnresolvedAncestor,
     combine,
@@ -24,6 +25,7 @@ from graphsync.revisions import (
     rebase_revisions,
     revision_hash,
     squash,
+    verified_revision,
 )
 from graphsync.triples import (
     Delta,
@@ -40,18 +42,19 @@ A_M = b"\x0a" * 16
 
 
 def rev_on(gor, parent, delta, author=A_B, ts=1, local=False):
-    r = make_revision(author, ts, (ParentLink(parent, delta),), local=local)
-    gor.insert(r)
+    r = make_revision(author, ts, (ParentLink(parent, delta),))
+    gor.insert(r, local=local)
     return r
 
 
-def worked_example():
+def worked_example(local_g2=False):
     """Base {T0,T1,T2}; one branch adds T3,T4 / drops T0,T1; the other
-    adds T4,T5 / drops T1,T2."""
+    adds T4,T5 / drops T1,T2 (unpublished when ``local_g2``)."""
     gor = GraphOfRevisions("doc:ex")
     g0 = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0], T[1], T[2]}, ()), author=A_M, ts=0)
     g1 = rev_on(gor, g0.hash, Delta.of({T[3], T[4]}, {T[0], T[1]}), author=A_B, ts=1)
-    g2 = rev_on(gor, g0.hash, Delta.of({T[4], T[5]}, {T[1], T[2]}), author=A_C, ts=1)
+    g2 = rev_on(gor, g0.hash, Delta.of({T[4], T[5]}, {T[1], T[2]}), author=A_C, ts=1,
+                local=local_g2)
     return gor, g0, g1, g2
 
 
@@ -108,10 +111,10 @@ class TestInsertAndTopology:
     def test_remove_forgets_parent_no_present_revision_references(self):
         gor = GraphOfRevisions("doc:x")
         parent = make_revision(A_B, 1, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),))
-        kids = [make_revision(A_B, 2 + i, (ParentLink(parent.hash, Delta.of({T[i]}, ())),),
-                              local=True) for i in (1, 2)]
+        kids = [make_revision(A_B, 2 + i, (ParentLink(parent.hash, Delta.of({T[i]}, ())),))
+                for i in (1, 2)]
         for kid in kids:
-            gor.insert(kid)
+            gor.insert(kid, local=True)
         gor.remove([kids[0].hash])
         assert gor.missing_parents() == {parent.hash}
         gor.remove([kids[1].hash])
@@ -126,10 +129,57 @@ class TestInsertAndTopology:
         assert len(gor) == 1
 
     def test_hash_mismatch_rejected(self):
-        gor = GraphOfRevisions("doc:x")
-        bogus = Revision(b"\x00" * 64, A_B, 1, (ParentLink(ROOT_REVISION.hash, Delta()),))
+        links = (ParentLink(ROOT_REVISION.hash, Delta()),)
         with pytest.raises(HashMismatch):
-            gor.insert(bogus)
+            verified_revision(b"\x00" * 64, A_B, 1, links)
+        good = make_revision(A_B, 1, links)
+        assert verified_revision(good.hash, A_B, 1, list(links)) == good
+
+    def test_outside_revision_has_one_or_two_parents(self):
+        link = ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ()))
+        for links in ((), (link, link, link)):
+            rev = make_revision(A_B, 1, links)
+            with pytest.raises(MalformedRevision):
+                verified_revision(rev.hash, A_B, 1, links)
+
+    def test_revision_is_frozen_and_consistent_with_its_digest(self):
+        rev = make_revision(A_B, 1, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rev.timestamp = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rev.hash = b"\x00" * 64
+        moved = dataclasses.replace(rev, timestamp=2)
+        assert moved.hash == revision_hash(A_B, 2, rev.parents) != rev.hash
+        assert not hasattr(rev, "local") and not hasattr(rev, "signature")
+
+    def test_insert_does_not_hash(self, monkeypatch):
+        rev = make_revision(A_B, 1, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),))
+        calls = []
+        monkeypatch.setattr("graphsync.revisions.revision_hash",
+                            lambda *args: calls.append(args))
+        gor = GraphOfRevisions("doc:x")
+        gor.insert(rev, local=True)
+        gor.insert(rev)
+        assert calls == []
+
+    def test_local_is_per_graph(self):
+        """One Revision object, local in one graph and published in
+        another; publishing in one leaves the other as it was, and a
+        second insert keeps the state of the first."""
+        rev = make_revision(A_B, 1, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),))
+        mine, theirs = GraphOfRevisions("doc:x"), GraphOfRevisions("doc:x")
+        mine.insert(rev, local=True)
+        theirs.insert(rev)
+        theirs.insert(rev, local=True)
+        assert mine.is_local(rev.hash) and not theirs.is_local(rev.hash)
+        other = GraphOfRevisions("doc:x")
+        other.insert(rev, local=True)
+        other.publish(rev.hash)
+        assert not other.is_local(rev.hash) and mine.is_local(rev.hash)
+        with pytest.raises(NotLocal):
+            theirs.remove([rev.hash])
+        mine.remove([rev.hash])
+        assert not mine.is_local(rev.hash) and rev.hash not in mine
 
     def test_insertion_order_permutation_equivalence(self):
         rng = random.Random(8)
@@ -453,8 +503,7 @@ class TestMergeAgainstPathFold:
 
 class TestRebaseAndSquash:
     def test_worked_example_rebase(self):
-        gor, g0, g1, g2 = worked_example()
-        gor.get(g2.hash).local = True
+        gor, g0, g1, g2 = worked_example(local_g2=True)
         new = rebase_revisions(gor, g2.hash, g1.hash, timestamp=5)
         assert len(new) == 1
         assert gor.materialize(new[0].hash) == {T[3], T[4], T[5]}
@@ -462,15 +511,13 @@ class TestRebaseAndSquash:
         assert g2.hash not in gor
 
     def test_worked_example_rebase_recomputed_deltas(self):
-        gor, g0, g1, g2 = worked_example()
-        gor.get(g2.hash).local = True
+        gor, g0, g1, g2 = worked_example(local_g2=True)
         new = rebase_revisions(gor, g2.hash, g1.hash, timestamp=5, recompute_deltas=True)
         assert new[0].parents[0].delta == Delta.of({T[5]}, {T[2]})
         assert gor.materialize(new[0].hash) == {T[3], T[4], T[5]}
 
     def test_copies_keep_author_and_change_hash(self):
-        gor, g0, g1, g2 = worked_example()
-        gor.get(g2.hash).local = True
+        gor, g0, g1, g2 = worked_example(local_g2=True)
         new = rebase_revisions(gor, g2.hash, g1.hash, timestamp=5)
         assert new[0].author == A_C
         assert new[0].hash != g2.hash
@@ -490,8 +537,8 @@ class TestRebaseAndSquash:
 
     def test_merge_in_branch_raises_not_linear(self):
         gor, g0, g1, g2 = worked_example()
-        m = merge_revision(gor, g1.hash, g2.hash, A_M, 2)
-        gor.get(m.hash).local = True
+        m = merge_revision(worked_example()[0], g1.hash, g2.hash, A_M, 2)
+        gor.insert(m, local=True)
         extra = rev_on(gor, m.hash, Delta.of({T[6]}, ()), ts=3, local=True)
         fork = rev_on(gor, g0.hash, Delta.of({T[7]}, ()), ts=3)
         with pytest.raises(NotLinear):
@@ -586,16 +633,16 @@ def resolved_by_dfs(gor, h):
 
 @st.composite
 def revision_dags(draw):
-    """Revisions whose parents are one or two earlier revisions (or the
-    root), some of them local, in an order drawn independently."""
+    """(revision, local) pairs: each revision's parents are one or two
+    earlier revisions (or the root), in an order drawn independently."""
     revs = []
     for i in range(draw(st.integers(1, 10))):
-        pool = [ROOT_REVISION.hash] + [r.hash for r in revs]
+        pool = [ROOT_REVISION.hash] + [r.hash for r, _ in revs]
         parents = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
         links = tuple(ParentLink(p, Delta.of({T[(i + k) % len(T)]}, ()))
                       for k, p in enumerate(parents))
-        revs.append(make_revision(draw(st.sampled_from([A_B, A_C])), i + 1, links,
-                                  local=draw(st.booleans())))
+        revs.append((make_revision(draw(st.sampled_from([A_B, A_C])), i + 1, links),
+                     draw(st.booleans())))
     return draw(st.permutations(revs))
 
 
@@ -617,14 +664,14 @@ class TestIncrementalIndexes:
         remove / rebase / squash on the partial graph, then insert the
         rest; the indexes equal the full walks after every step."""
         gor = GraphOfRevisions("doc:index")
-        seen = {ROOT_REVISION.hash} | {r.hash for r in order}
+        seen = {ROOT_REVISION.hash} | {r.hash for r, _ in order}
         cut = max(0, len(order) - held_back)
-        for rev in order[:cut]:
-            gor.insert(rev)
+        for rev, local in order[:cut]:
+            gor.insert(rev, local=local)
             self.assert_indexes_match(gor, seen)
         for step, (op, i, j) in enumerate(ops):
             present = sorted(r.hash for r in gor.revisions())
-            tips = sorted(h for h in heads_by_scan(gor) if gor.get(h).local) or present
+            tips = sorted(h for h in heads_by_scan(gor) if gor.is_local(h)) or present
             a, b = tips[i % len(tips)], present[j % len(present)]
             try:
                 if op == "remove":
@@ -636,8 +683,8 @@ class TestIncrementalIndexes:
             except (KeyError, ValueError):
                 pass
             self.assert_indexes_match(gor, seen)
-        for rev in order[cut:]:
-            gor.insert(rev)
+        for rev, local in order[cut:]:
+            gor.insert(rev, local=local)
             self.assert_indexes_match(gor, seen)
 
     def test_late_parent_resolves_chain(self):

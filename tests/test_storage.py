@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -20,7 +19,7 @@ def test_round_trip_linear_history(tmp_path):
     assert loaded.uri == "doc:log"
     assert head == r2.hash
     assert set(r.hash for r in loaded.revisions()) == set(r.hash for r in gor.revisions())
-    assert loaded.get(r2.hash).local is True
+    assert loaded.is_local(r2.hash) and not loaded.is_local(r1.hash)
     assert loaded.materialize(head) == gor.materialize(r2.hash)
 
 
@@ -38,17 +37,18 @@ def test_round_trip_random_dags(tmp_path):
                 assert rev.hash in loaded
 
 
-def test_signature_preserved(tmp_path):
-    gor = GraphOfRevisions("doc:sig")
-    rev = make_revision(
-        b"\x01" * 16, 5, (ParentLink(ROOT_REVISION.hash, Delta.of({T[0]}, ())),),
-    )
-    rev = dataclasses.replace(rev, signature=b"sig:" + rev.hash[:4])
-    gor.insert(rev)
+def test_three_parent_revision_rejected(tmp_path):
+    gor = GraphOfRevisions("doc:log")
+    r1 = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), ts=1)
+    r2 = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[1]}, ()), ts=1)
+    links = [ParentLink(h, Delta.of({T[0], T[1]}, ())) for h in (r1.hash, r2.hash)]
+    links.append(ParentLink(ROOT_REVISION.hash, Delta.of({T[0], T[1]}, ())))
+    three = make_revision(b"\x01" * 16, 2, links)
+    gor.insert(three)
     path = tmp_path / "doc.log"
-    save_document(gor, path)
-    loaded, head = load_document(path)
-    assert loaded.get(rev.hash).signature == b"sig:" + rev.hash[:4]
+    save_document(gor, path, head=three.hash)
+    with pytest.raises(CorruptLog, match="3 parent links"):
+        load_document(path)
 
 
 def test_tampered_log_rejected(tmp_path):

@@ -1,8 +1,12 @@
-import dataclasses
-
 import pytest
 
-from graphsync.revisions import ROOT_REVISION, ParentLink, make_revision
+from graphsync.revisions import (
+    ROOT_REVISION,
+    HashMismatch,
+    MalformedRevision,
+    ParentLink,
+    make_revision,
+)
 from graphsync.triples import Delta, triple
 from graphsync.wire import (
     AgentId,
@@ -62,11 +66,15 @@ def test_revision_round_trip():
             ),
         ),
     )
-    rev = dataclasses.replace(rev, signature=b"SIG")
     msg = RevisionMsg("doc:map", rev)
     back = roundtrip(msg)
     assert back.revision == rev
     assert back.document_uri == "doc:map"
+    # the signature field is written empty; one a peer fills is skipped
+    frame = encode_frame(msg)
+    at = frame.index(rev.hash) + len(rev.hash)
+    assert frame[at:at + 2] == b"\x00\x00"
+    assert decode_frame(frame[:at] + b"\x00\x03SIG" + frame[at + 2:]) == msg
 
 
 def test_merge_revision_two_parents_round_trip():
@@ -79,6 +87,22 @@ def test_merge_revision_two_parents_round_trip():
         ),
     )
     assert roundtrip(RevisionMsg("doc:m", rev)).revision == rev
+
+
+def test_revision_frame_with_wrong_digest_rejected():
+    rev = make_revision(ALICE.uuid, 5, (ParentLink(ROOT_REVISION.hash, Delta()),))
+    frame = encode_frame(RevisionMsg("doc:map", rev))
+    at = frame.index(rev.hash)
+    with pytest.raises(HashMismatch):
+        decode_frame(frame[:at] + bytes([frame[at] ^ 1]) + frame[at + 1:])
+
+
+def test_revision_frame_needs_one_or_two_parents():
+    link = ParentLink(ROOT_REVISION.hash, Delta.of({triple("urn:a", "urn:b", "urn:c")}, ()))
+    for links in ((), (link, link, link)):
+        frame = encode_frame(RevisionMsg("doc:map", make_revision(ALICE.uuid, 5, links)))
+        with pytest.raises(MalformedRevision):
+            decode_frame(frame)
 
 
 def test_golden_status_frame():
