@@ -228,27 +228,32 @@ def _build_rebase_world(n_revisions: int, changes: int, seed: int):
 def run_rebase_scaling(out_dir, max_revisions: int = 40, seed: int = 1,
                        change_counts=(10, 20, 30, 40, 50), repeats: int = 3) -> dict:
     os.makedirs(out_dir, exist_ok=True)
+    cases = [(n_rev, changes, squashed) for n_rev in range(1, max_revisions + 1)
+             for changes in change_counts for squashed in (False, True)]
+    best: dict[tuple, float] = {}
+    outcome: dict[tuple, tuple[int, int]] = {}
+    order = random.Random(seed)
+    for rep in range(repeats):
+        # Each pass times the cases in a fresh order, so slow drift of
+        # the host spreads over all sizes instead of bending the curve.
+        for case in order.sample(cases, len(cases)):
+            n_rev, changes, squashed = case
+            gor, dest, head = _build_rebase_world(n_rev, changes, seed + rep)
+            t0 = time.perf_counter()
+            tip = head
+            if squashed and n_rev > 1:
+                tip = squash(gor, tip, 1000).hash
+            moved = rebase_revisions(gor, tip, dest, 1001)
+            dt = time.perf_counter() - t0
+            best[case] = min(best.get(case, dt), dt)
+            outcome[case] = (len(moved), len(gor.materialize(moved[-1].hash)))
     rows = []
     times: dict[int, list[float]] = {}
-    for n_rev in range(1, max_revisions + 1):
-        for changes in change_counts:
-            for squashed in (False, True):
-                best = None
-                for rep in range(repeats):
-                    gor, dest, head = _build_rebase_world(n_rev, changes, seed + rep)
-                    t0 = time.perf_counter()
-                    tip = head
-                    if squashed and n_rev > 1:
-                        tip = squash(gor, tip, 1000).hash
-                    moved = rebase_revisions(gor, tip, dest, 1001)
-                    dt = time.perf_counter() - t0
-                    best = dt if best is None else min(best, dt)
-                    published = len(moved)
-                    tip_graph = gor.materialize(moved[-1].hash)
-                rows.append((n_rev, changes, int(squashed), f"{best:.9f}", published,
-                             len(tip_graph)))
-                if not squashed:
-                    times.setdefault(n_rev, []).append(best)
+    for case in cases:
+        n_rev, changes, squashed = case
+        rows.append((n_rev, changes, int(squashed), f"{best[case]:.9f}", *outcome[case]))
+        if not squashed:
+            times.setdefault(n_rev, []).append(best[case])
     _write_csv(
         os.path.join(out_dir, "rebase-scaling.csv"),
         ["revisions", "changes", "squashed", "rebase_seconds", "published_revisions",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -41,32 +42,30 @@ class LinkPolicy:
             return int(self.latency[1])
         return rng.randint(int(self.latency[1]), int(self.latency[2]))
 
-    @property
-    def min_latency(self) -> int:
-        return int(self.latency[1])
-
 
 @dataclass
 class Topology:
-    """Group partition of the agents; links within a group are always
-    up, links across groups obey the disconnection schedules."""
+    """Group partition of the agents (a name not listed is in group 0);
+    links within a group are always up, links across groups obey the
+    disconnection schedules."""
 
     groups: dict[str, int] = field(default_factory=dict)
-
-    def group_of(self, name: str) -> int:
-        return self.groups.get(name, 0)
-
-
-@dataclass(frozen=True)
-class Delivery:
-    time: int
-    src: str
-    dst: str
-    frame: bytes
 
 
 class NetworkSim:
     """The event loop of one simulated world.
+
+    Whether a link is up is answered from state, not from a scan of the
+    schedules.  Every partition and group-offline window edge splits the
+    timeline into spans on which the group state (partition up or not,
+    the set of offline groups) is constant; `connected` keeps the state
+    of the span holding the last queried time and recomputes it only
+    when asked about a time outside it, so queries may come at any time,
+    in any order.  `set_partition` and `set_group_offline` invalidate
+    it.  Group membership is read from ``topology.groups`` on each call.
+    Pair blocks are checked per pair, and only when there are any.  The
+    sorted broadcast targets of each sender are built on its first
+    broadcast and dropped by `register`.
 
     Each frame object handed to `send` is decoded at most once per
     world: while copies of it are queued, the first receiver that asks
@@ -89,11 +88,20 @@ class NetworkSim:
         self.topology = topology or Topology()
         self._now = 0
         self._seq = itertools.count()
+        # (time, seq, 0, fn) for a timer, (time, seq, 1, (src, dst, frame))
+        # for a delivery
         self._heap: list[tuple[int, int, int, object]] = []
         self._endpoints: dict[str, Callable[[str, bytes, int], None]] = {}
+        # sender -> every other endpoint, sorted; filled by broadcasts
+        self._targets: dict[str, list[str]] = {}
         self._partition_windows: list[tuple[int, int]] = []
         self._offline_windows: dict[int, list[tuple[int, int]]] = {}
-        self._blocked_pairs: dict[frozenset, list[tuple[int, int]]] = {}
+        # keyed by the pair in sorted order
+        self._blocked_pairs: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        # group state on the span [lo, hi); an empty span forces a refresh
+        self._span: tuple[float, float] = (0, 0)
+        self._partition_up = False
+        self._offline_now: frozenset[int] = frozenset()
         self.event_log: list[tuple[int, str, str, str, int]] = []
         self.dropped = 0
         # id(frame) -> [copies still queued, decoded message or None]; the
@@ -105,6 +113,7 @@ class NetworkSim:
     def register(self, name: str, on_frame: Callable[[str, bytes, int], None],
                  group: int = 0) -> None:
         self._endpoints[name] = on_frame
+        self._targets.clear()
         self.topology.groups.setdefault(name, group)
 
     def clock(self) -> int:
@@ -123,30 +132,45 @@ class NetworkSim:
     def set_partition(self, windows: Iterable[tuple[int, int]]) -> None:
         """Windows during which every inter-group link is down."""
         self._partition_windows = sorted(tuple(w) for w in windows)
+        self._span = (0, 0)
 
     def set_group_offline(self, group: int, start: int, end: int) -> None:
         self._offline_windows.setdefault(group, []).append((start, end))
+        self._span = (0, 0)
 
     def block_pair(self, a: str, b: str, start: int, end: int) -> None:
-        self._blocked_pairs.setdefault(frozenset((a, b)), []).append((start, end))
+        key = (a, b) if a <= b else (b, a)
+        self._blocked_pairs.setdefault(key, []).append((start, end))
 
-    @staticmethod
-    def _in_windows(windows: Iterable[tuple[int, int]], t: int) -> bool:
-        return any(start <= t < end for start, end in windows)
+    def _refresh_span(self, t: int) -> None:
+        """Group state at t, and the span around t with no window edge
+        inside it, on which that state holds."""
+        # group None stands for the partition windows
+        windows = [(None, w) for w in self._partition_windows]
+        windows += [(g, w) for g, ws in self._offline_windows.items() for w in ws]
+        edges = [edge for _, w in windows for edge in w]
+        self._span = (max((e for e in edges if e <= t), default=-math.inf),
+                      min((e for e in edges if e > t), default=math.inf))
+        down = {group for group, (start, end) in windows if start <= t < end}
+        self._partition_up = None in down
+        self._offline_now = frozenset(down - {None})
 
     def connected(self, src: str, dst: str, t: int) -> bool:
-        if self._in_windows(self._blocked_pairs.get(frozenset((src, dst)), ()), t):
-            return False
-        g_src, g_dst = self.topology.group_of(src), self.topology.group_of(dst)
+        if self._blocked_pairs:
+            windows = self._blocked_pairs.get((src, dst) if src <= dst else (dst, src), ())
+            if any(start <= t < end for start, end in windows):
+                return False
+        groups = self.topology.groups
+        g_src, g_dst = groups.get(src, 0), groups.get(dst, 0)
         if g_src == g_dst:
             return True
-        if self._in_windows(self._partition_windows, t):
+        lo, hi = self._span
+        if not lo <= t < hi:
+            self._refresh_span(t)
+        if self._partition_up:
             return False
-        if self._in_windows(self._offline_windows.get(g_src, ()), t):
-            return False
-        if self._in_windows(self._offline_windows.get(g_dst, ()), t):
-            return False
-        return True
+        offline = self._offline_now
+        return g_src not in offline and g_dst not in offline
 
     # -- traffic ----------------------------------------------------------
 
@@ -155,31 +179,34 @@ class NetworkSim:
         other endpoint.  Returns the scheduled delivery times."""
         if src not in self._endpoints:
             raise KeyError(f"unregistered sender {src!r}")
-        targets = [dst] if dst is not None else sorted(
-            name for name in self._endpoints if name != src
-        )
+        if dst is not None:
+            if dst not in self._endpoints:
+                raise KeyError(f"unregistered destination {dst!r}")
+            targets = (dst,)
+        else:
+            targets = self._targets.get(src)
+            if targets is None:
+                targets = self._targets[src] = sorted(
+                    name for name in self._endpoints if name != src
+                )
+        rng, policy, now = self.rng, self.policy, self._now
         times = []
         for target in targets:
-            if target not in self._endpoints:
-                raise KeyError(f"unregistered destination {target!r}")
-            if not self.connected(src, target, self._now):
+            if not self.connected(src, target, now):
                 self.dropped += 1
                 continue
             copies = 1
-            if self.rng.random() < self.policy.loss:
+            if rng.random() < policy.loss:
                 copies = 0
                 self.dropped += 1
-            elif self.rng.random() < self.policy.duplication:
+            elif rng.random() < policy.duplication:
                 copies = 2
             for _ in range(copies):
-                latency = self.policy.draw_latency(self.rng)
-                if self.rng.random() < self.policy.reorder:
-                    latency += self.policy.draw_latency(self.rng)
-                when = self._now + latency
-                heapq.heappush(
-                    self._heap,
-                    (when, next(self._seq), 1, Delivery(when, src, target, frame)),
-                )
+                latency = policy.draw_latency(rng)
+                if rng.random() < policy.reorder:
+                    latency += policy.draw_latency(rng)
+                when = now + latency
+                heapq.heappush(self._heap, (when, next(self._seq), 1, (src, target, frame)))
                 times.append(when)
         if times:
             self._in_flight.setdefault(id(frame), [0, None])[0] += len(times)
@@ -201,23 +228,24 @@ class NetworkSim:
     def advance(self, until: int) -> None:
         """Dispatch everything scheduled up to `until` in (time,
         insertion) order."""
-        while self._heap and self._heap[0][0] <= until:
-            time, _, tag, item = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            time, _, tag, item = heapq.heappop(heap)
             self._now = time
             if tag == 0:
                 item(time)
                 continue
-            ev: Delivery = item
-            key = id(ev.frame)
+            src, dst, frame = item
+            key = id(frame)
             entry = self._in_flight[key]
             entry[0] -= 1
             try:
-                if not self.connected(ev.src, ev.dst, time):
+                if not self.connected(src, dst, time):
                     self.dropped += 1
                     continue
-                kind = KIND_NAMES.get(frame_kind(ev.frame), "?")
-                self.event_log.append((time, ev.src, ev.dst, kind, len(ev.frame)))
-                self._endpoints[ev.dst](ev.src, ev.frame, time)
+                kind = KIND_NAMES.get(frame_kind(frame), "?")
+                self.event_log.append((time, src, dst, kind, len(frame)))
+                self._endpoints[dst](src, frame, time)
             finally:
                 if not entry[0]:
                     del self._in_flight[key]

@@ -154,6 +154,8 @@ class GraphOfRevisions:
         self._heads: set[bytes] = {ROOT_REVISION.hash}
         self._resolved: set[bytes] = {ROOT_REVISION.hash}
         self._local: set[bytes] = set()
+        # (a, b) -> is_ancestor(a, b), for resolved b only
+        self._ancestry: dict[tuple[bytes, bytes], bool] = {}
 
     # -- basic access -------------------------------------------------
 
@@ -223,6 +225,7 @@ class GraphOfRevisions:
                 raise NotLocal(h.hex())
             if self._children.get(h, set()) - doomed:
                 raise ValueError("cannot remove a revision with live children")
+        self._ancestry.clear()
         for h in doomed:
             rev = self._revs.pop(h)
             self._children.pop(h, None)
@@ -257,9 +260,24 @@ class GraphOfRevisions:
         return set(self._bfs_distances(h)) - {h}
 
     def is_ancestor(self, a: bytes, b: bytes) -> bool:
-        """Strict ancestry: a is reachable from b via parent links."""
+        """Strict ancestry: a is reachable from b via parent links.
+
+        The answer is memoized when b is resolved: b's ancestry is fixed
+        by its digest and all of it is present, so no later insert can
+        change it.  For an unresolved b the partial history is walked on
+        every call.  `remove` clears the memo."""
         if a == b:
             return False
+        if b not in self._resolved:
+            return self._reaches(a, b)
+        key = (a, b)
+        found = self._ancestry.get(key)
+        if found is None:
+            found = self._ancestry[key] = self._reaches(a, b)
+        return found
+
+    def _reaches(self, a: bytes, b: bytes) -> bool:
+        """Walk the present history above b, looking for a."""
         stack, seen = [b], set()
         while stack:
             cur = stack.pop()

@@ -129,8 +129,9 @@ def _topo_order(gor: GraphOfRevisions) -> list[Revision]:
 
 def load_document(path) -> tuple[GraphOfRevisions, bytes]:
     """Reload a log written by save_document; returns (gor, head hash).
-    Raises CorruptLog on framing damage, hash mismatch, or a head graph
-    that does not match the stored triples."""
+    Raises CorruptLog, and nothing else, on a damaged log: framing
+    damage, an undecodable record, a hash mismatch, or a head graph that
+    does not match the stored triples."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -138,36 +139,42 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
     revisions: dict[bytes, tuple] = {}
     triples: set[Triple] = set()
 
-    pos = 0
-    while pos < len(data):
-        if pos + 5 > len(data):
-            raise CorruptLog("truncated frame")
-        kind, length = struct.unpack(">BI", data[pos : pos + 5])
-        pos += 5
-        if pos + length > len(data):
-            raise CorruptLog("truncated frame body")
-        r = _Reader(data[pos : pos + length])
-        pos += length
-        if kind == REC_HEADER:
-            uri = r.take_bytes().decode("utf-8")
-            head = r.take(HASH_LEN)
-        elif kind == REC_REVISION:
-            h = r.take(HASH_LEN)
-            author = r.take(16)
-            timestamp, n_parents, local = struct.unpack(">qB?", r.take(10))
-            r.take_bytes()  # signature
-            revisions[h] = (author, timestamp, n_parents, local, [])
-        elif kind == REC_DELTA:
-            parent = r.take(HASH_LEN)
-            child = r.take(HASH_LEN)
-            delta = delta_parse(r.take_bytes().decode("utf-8"))
-            if child not in revisions:
-                raise CorruptLog("delta record before its revision record")
-            revisions[child][4].append(ParentLink(parent, delta))
-        elif kind == REC_TRIPLE:
-            triples.add(Triple(_decode_term(r), _decode_term(r), _decode_term(r)))
-        else:
-            raise CorruptLog(f"unknown record kind {kind}")
+    try:
+        pos = 0
+        while pos < len(data):
+            if pos + 5 > len(data):
+                raise CorruptLog("truncated frame")
+            kind, length = struct.unpack(">BI", data[pos : pos + 5])
+            pos += 5
+            if pos + length > len(data):
+                raise CorruptLog("truncated frame body")
+            r = _Reader(data[pos : pos + length])
+            pos += length
+            if kind == REC_HEADER:
+                uri = r.take_bytes().decode("utf-8")
+                head = r.take(HASH_LEN)
+            elif kind == REC_REVISION:
+                h = r.take(HASH_LEN)
+                author = r.take(16)
+                timestamp, n_parents, local = struct.unpack(">qB?", r.take(10))
+                r.take_bytes()  # signature
+                revisions[h] = (author, timestamp, n_parents, local, [])
+            elif kind == REC_DELTA:
+                parent = r.take(HASH_LEN)
+                child = r.take(HASH_LEN)
+                delta = delta_parse(r.take_bytes().decode("utf-8"))
+                if child not in revisions:
+                    raise CorruptLog("delta record before its revision record")
+                revisions[child][4].append(ParentLink(parent, delta))
+            elif kind == REC_TRIPLE:
+                triples.add(Triple(_decode_term(r), _decode_term(r), _decode_term(r)))
+            else:
+                raise CorruptLog(f"unknown record kind {kind}")
+    except CorruptLog:
+        raise
+    except (ValueError, KeyError, struct.error) as exc:
+        # a damaged byte: bad UTF-8, delta text or term kind
+        raise CorruptLog(f"undecodable record: {exc!r}") from exc
 
     gor = GraphOfRevisions(uri)
     for h, (author, timestamp, n_parents, local, links) in revisions.items():

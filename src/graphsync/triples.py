@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -42,7 +41,7 @@ class MalformedDelta(ValueError):
 @dataclass(frozen=True, slots=True)
 class Term:
     """An IRI or a literal (optionally typed).  Blank nodes never occur;
-    they are skolemized into fresh IRIs at ingestion.  An IRI value and
+    a producer names them with IRIs before they enter.  An IRI value and
     a datatype are non-empty and hold no whitespace and no '>'."""
 
     kind: str
@@ -112,9 +111,6 @@ class Delta:
     @staticmethod
     def of(inserted: Iterable[Triple] = (), removed: Iterable[Triple] = ()) -> "Delta":
         return Delta(frozenset(inserted), frozenset(removed))
-
-    def is_empty(self) -> bool:
-        return not self.inserted and not self.removed
 
 
 def delta_compute(g_i, g_j) -> Delta:
@@ -338,18 +334,3 @@ def delta_parse(text: str) -> Delta:
         raise MalformedDelta(f"disallowed construct: {toks[i]!r}")
 
     return Delta(frozenset(inserted), frozenset(removed))
-
-
-# ---------------------------------------------------------------------------
-# Skolemization
-# ---------------------------------------------------------------------------
-
-_skolem_lock = threading.Lock()
-_skolem_counter = itertools.count()
-
-
-def skolem_iri(agent_uuid: bytes) -> Term:
-    """Mint a fresh IRI standing in for a blank node."""
-    with _skolem_lock:
-        n = next(_skolem_counter)
-    return iri(f"urn:skolem:{agent_uuid.hex()}:{n}")

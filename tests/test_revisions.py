@@ -700,3 +700,72 @@ class TestIncrementalIndexes:
         gor.insert(r1)
         assert all(gor.resolved(r.hash) for r in (r1, r2, r3))
         assert gor.heads() == {r3.hash}
+
+
+# -- is_ancestor memo ----------------------------------------------------------
+
+
+def ancestor_by_walk(gor, a, b):
+    """Reference for `is_ancestor`: walk the present history above b
+    on every call."""
+    if a == b:
+        return False
+    stack, seen = [b], set()
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        rev = gor._revs.get(cur)
+        if rev is not None:
+            if any(link.parent == a for link in rev.parents):
+                return True
+            stack.extend(link.parent for link in rev.parents)
+    return False
+
+
+class TestAncestryMemo:
+    @staticmethod
+    def assert_ancestry_matches(gor, seen):
+        for b in seen:
+            for a in seen:
+                assert gor.is_ancestor(a, b) == ancestor_by_walk(gor, a, b)
+        # the memo holds true answers for resolved revisions only
+        for (a, b), found in gor._ancestry.items():
+            assert gor.resolved(b) and found == ancestor_by_walk(gor, a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(revision_dags(), st.integers(0, 10), OPS)
+    def test_is_ancestor_matches_plain_walk(self, order, held_back, ops):
+        """Insert with parents held back, query, run remove / rebase /
+        squash, insert the rest and put back what was removed; every
+        answer equals the plain walk after every step."""
+        gor = GraphOfRevisions("doc:ancestry")
+        seen = {ROOT_REVISION.hash} | {r.hash for r, _ in order}
+        cut = max(0, len(order) - held_back)
+        for rev, local in order[:cut]:
+            gor.insert(rev, local=local)
+            self.assert_ancestry_matches(gor, seen)
+        removed = []
+        for step, (op, i, j) in enumerate(ops):
+            before = list(gor.revisions())
+            present = sorted(r.hash for r in before)
+            tips = sorted(h for h in heads_by_scan(gor) if gor.is_local(h)) or present
+            a, b = tips[i % len(tips)], present[j % len(present)]
+            try:
+                if op == "remove":
+                    gor.remove([a])
+                elif op == "rebase":
+                    seen.update(r.hash for r in rebase_revisions(gor, a, b, 100 + step))
+                else:
+                    seen.add(squash(gor, a, 100 + step).hash)
+            except (KeyError, ValueError):
+                pass
+            removed += [r for r in before if r.hash not in gor]
+            self.assert_ancestry_matches(gor, seen)
+        for rev, local in order[cut:]:
+            gor.insert(rev, local=local)
+            self.assert_ancestry_matches(gor, seen)
+        for rev in removed:
+            gor.insert(rev, local=True)
+            self.assert_ancestry_matches(gor, seen)

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from graphsync.revisions import ROOT_REVISION, GraphOfRevisions, make_revision, ParentLink
 from graphsync.storage import CorruptLog, load_document, save_document
-from graphsync.triples import Delta, triple
+from graphsync.triples import Delta, literal, triple
 
 from test_revisions import random_dag, rev_on, T
 
@@ -72,3 +73,32 @@ def test_truncated_log_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(CorruptLog):
         load_document(path)
+
+
+def test_damaged_logs_fail_only_as_corrupt_log(tmp_path):
+    """Truncated and bit-flipped copies of a saved log (revisions,
+    merges, typed and non-ASCII literals) either load or raise
+    CorruptLog; any other exception fails the test."""
+    rng = random.Random(5)
+    pool = T + [triple("urn:s:lit", "urn:p", literal("caf\u00e9 \u2713")),
+                triple("urn:s:num", "urn:p", literal("7", "urn:xsd:int"))]
+    gor, heads = random_dag(rng, 10, triple_pool=pool)
+    path = tmp_path / "doc.log"
+    save_document(gor, path, head=heads[0])
+    blob = path.read_bytes()
+    damaged = [blob[:n] for n in rng.sample(range(len(blob)), 400)]
+    for _ in range(1200):
+        bit = rng.randrange(len(blob) * 8)
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged.append(bytes(flipped))
+    outcomes = Counter()
+    for data in damaged:
+        path.write_bytes(data)
+        try:
+            load_document(path)
+        except CorruptLog:
+            outcomes["corrupt"] += 1
+        else:
+            outcomes["loaded"] += 1
+    assert outcomes["corrupt"] > outcomes["loaded"]

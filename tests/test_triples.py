@@ -19,7 +19,6 @@ from graphsync.triples import (
     delta_serialize,
     iri,
     literal,
-    skolem_iri,
     triple,
 )
 
@@ -79,11 +78,6 @@ class TestTerms:
             Triple(literal("x"), iri("urn:p"), iri("urn:o"))
         with pytest.raises(ValueError):
             Triple(iri("urn:s"), literal("x"), iri("urn:o"))
-
-    def test_skolem_iris_are_unique(self):
-        a = skolem_iri(b"\x01" * 16)
-        b = skolem_iri(b"\x01" * 16)
-        assert a != b and a.kind == "iri"
 
 
 class TestDeltaAlgebra:
