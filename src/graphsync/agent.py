@@ -96,7 +96,6 @@ class PeerInfo:
 @dataclass
 class Election:
     round: int
-    started: int
     deadline: int
     ballots: dict[bytes, bytes]
     candidates: tuple[bytes, ...] = ()
@@ -341,7 +340,7 @@ class SyncAgent:
         for h in doc.gor.heads():
             if h == doc.own_head:
                 continue
-            if doc.gor.is_ancestor(doc.own_head, h) and doc.gor.resolved(h):
+            if doc.gor.resolved(h) and doc.gor.is_ancestor(doc.own_head, h):
                 rev = doc.gor.get(h)
                 key = (rev.timestamp, h)
                 if best is None or key > best[0]:
@@ -414,6 +413,7 @@ class SyncAgent:
         if h_i not in doc.gor or h_j not in doc.gor:
             return
         merged = merge_revision(doc.gor, h_i, h_j, self.ident.uuid, now // 1000)
+        self.stats["merges"] += 1
         if merged.hash not in (h_i, h_j):
             self._publish_revision(doc, merged)
         if doc.own_head in pair or doc.gor.is_ancestor(doc.own_head, merged.hash):
@@ -447,7 +447,7 @@ class SyncAgent:
                         candidates: tuple[bytes, ...]) -> None:
         vote = self._choose_vote(doc, candidates)
         window = ELECTION_WINDOW_PERIODS * self.config.status_period
-        doc.election = Election(rnd, now, now + window, {self.ident.uuid: vote}, candidates)
+        doc.election = Election(rnd, now + window, {self.ident.uuid: vote}, candidates)
         self.stats["max_election_round"] = max(self.stats["max_election_round"], rnd)
         doc.last_voted_for = vote
         self._broadcast(

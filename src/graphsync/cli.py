@@ -32,7 +32,7 @@ def _run(args) -> int:
     out = args.out
     name = args.experiment
     if name == "merge-scaling":
-        res = experiments.run_merge_scaling(out, revisions=args.revisions, seed=args.seed)
+        res = experiments.run_merge_scaling(out, revisions=args.revisions)
         totals = ", ".join(
             f"{k}t: {v['total']:.3f}s (linear r2 {v['single_linear_r2']:.3f})"
             for k, v in res.items()

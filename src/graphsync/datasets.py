@@ -115,6 +115,13 @@ class DatasetRelation:
             raise ValueError(f"unknown relation kind {self.kind!r}")
 
 
+def relation_triple(rel: DatasetRelation) -> Triple:
+    """agent has dataset, or dataset created_by / created_from agent."""
+    if rel.kind == REL_HAS:
+        return Triple(iri(rel.agent.uri), PRED_HAS, iri(rel.dataset))
+    return Triple(iri(rel.dataset), _REL_PRED[rel.kind], iri(rel.agent.uri))
+
+
 def dataset_to_triples(meta: DatasetMeta, relations: Iterable[DatasetRelation] = ()) -> set[Triple]:
     """Deterministic triple encoding of a dataset description."""
     s = iri(meta.uri)
@@ -124,11 +131,7 @@ def dataset_to_triples(meta: DatasetMeta, relations: Iterable[DatasetRelation] =
     }
     for inc in meta.includes:
         out.add(Triple(s, PRED_INCLUDE, iri(inc)))
-    for rel in relations:
-        if rel.kind == REL_HAS:
-            out.add(Triple(iri(rel.agent.uri), PRED_HAS, iri(rel.dataset)))
-        else:
-            out.add(Triple(iri(rel.dataset), _REL_PRED[rel.kind], iri(rel.agent.uri)))
+    out.update(relation_triple(rel) for rel in relations)
     return out
 
 

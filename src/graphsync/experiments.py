@@ -28,6 +28,7 @@ from .datasets import (
     dataset_to_triples,
     datasets_from_triples,
     discover,
+    relation_triple,
     remaining_region,
 )
 from .netsim import LinkPolicy, NetworkSim, Scenario, Topology
@@ -35,9 +36,14 @@ from .revisions import ROOT_REVISION, GraphOfRevisions, ParentLink, make_revisio
 from .storage import load_document, save_document
 from .transfer import ReceiverSession, SenderSession, payload_for_send, split_chunks
 from .triples import Delta, triple
-from .wire import AgentId, decode_frame, encode_frame
+from .wire import AgentId, DataMsg, decode_frame, encode_frame
 
 POINTS_CLOUD = NS + "points_cloud"
+
+# Passes over every timed case in the merge and rebase fits; each case
+# keeps its fastest pass.
+TIMING_REPEATS = 3
+REBASE_CHANGE_COUNTS = (10, 20, 30, 40, 50)
 
 
 def _write_csv(path, header, rows):
@@ -45,6 +51,11 @@ def _write_csv(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _write_payload_manifest(out_dir, stores: dict[str, PayloadStore]) -> None:
@@ -78,28 +89,36 @@ def _build_team(sim: NetworkSim, names, configs, rng_base: int, documents,
 
 
 def _wire_transfer(sim: NetworkSim, dataset: str, payload: bytes, chunk_size: int,
-                   sender: str, receivers, commit, abort) -> dict:
+                   sender: str, receivers, commit, abort, attach) -> SenderSession:
     """Start one transfer of payload from endpoint sender to the
     endpoints of receivers (name -> uuid).  The sender session is built
-    first, then one receiver session per name in order; commit(name,
-    data) and abort(name) report each receiver's outcome.  Returns the
-    sessions by endpoint name, for the caller to route frames to."""
-    sessions = {sender: SenderSession(
+    first, then one receiver session per name in order; attach(name,
+    session) routes the frames that reach endpoint name to its session,
+    and commit(name, data) and abort(name) report each receiver's
+    outcome.  Returns the sender session."""
+    session = SenderSession(
         dataset, payload, set(receivers.values()),
         send=lambda m: sim.send(encode_frame(m), sender),
         schedule=sim.call_later, chunk_size=chunk_size,
-    )}
+    )
+    attach(sender, session)
     max_chunks = len(split_chunks(payload, chunk_size))
     for name, uuid in receivers.items():
-        sessions[name] = ReceiverSession(
+        attach(name, ReceiverSession(
             dataset, uuid, max_chunks=max_chunks,
             send=lambda m, n=name: sim.send(encode_frame(m), n),
             schedule=sim.call_later,
             commit=lambda data, n=name: commit(n, data),
             abort=lambda n=name: abort(n),
             chunk_size=chunk_size,
-        )
-    return sessions
+        ))
+    return session
+
+
+def _endpoint_attach(sim: NetworkSim):
+    """Attach each session as a simulator endpoint of its own."""
+    return lambda name, session: sim.register(
+        name, lambda src, frame, now: session.on_msg(decode_frame(frame), now))
 
 
 def fresh_delta(tag: str, count: int, start: int = 0) -> Delta:
@@ -125,8 +144,7 @@ def fit_r2(xs, ys, degree: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_merge_scaling(out_dir, revisions: int = 200, seed: int = 1,
-                      triple_counts=(10, 100), repeats: int = 3) -> dict:
+def run_merge_scaling(out_dir, revisions: int = 200, triple_counts=(10, 100)) -> dict:
     """K same-parent revisions merged sequentially into one; records the
     per-merge wall time (minimum over repeats, GC paused while timing)
     and its cumulative curve for each change size."""
@@ -138,7 +156,7 @@ def run_merge_scaling(out_dir, revisions: int = 200, seed: int = 1,
     for n_triples in triple_counts:
         per_index: list[float] = []
         final_triples = 0
-        for _ in range(repeats):
+        for _ in range(TIMING_REPEATS):
             gor = GraphOfRevisions("doc:merge-scaling")
             base = make_revision(
                 b"\x01" * 16, 0, (ParentLink(ROOT_REVISION.hash, fresh_delta("base", 5)),)
@@ -225,15 +243,14 @@ def _build_rebase_world(n_revisions: int, changes: int, seed: int):
     return gor, dest.hash, head
 
 
-def run_rebase_scaling(out_dir, max_revisions: int = 40, seed: int = 1,
-                       change_counts=(10, 20, 30, 40, 50), repeats: int = 3) -> dict:
+def run_rebase_scaling(out_dir, max_revisions: int = 40, seed: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     cases = [(n_rev, changes, squashed) for n_rev in range(1, max_revisions + 1)
-             for changes in change_counts for squashed in (False, True)]
+             for changes in REBASE_CHANGE_COUNTS for squashed in (False, True)]
     best: dict[tuple, float] = {}
     outcome: dict[tuple, tuple[int, int]] = {}
     order = random.Random(seed)
-    for rep in range(repeats):
+    for rep in range(TIMING_REPEATS):
         # Each pass times the cases in a fresh order, so slow drift of
         # the host spreads over all sizes instead of bending the curve.
         for case in order.sample(cases, len(cases)):
@@ -289,9 +306,10 @@ def run_rebase_scaling(out_dir, max_revisions: int = 40, seed: int = 1,
 # ---------------------------------------------------------------------------
 
 PARTITION_DOC = "doc:shared-map"
+PARTITION_LOSS = 0.05
 
 
-def run_partition_12(out_dir, seed: int = 1, loss: float = 0.05,
+def run_partition_12(out_dir, seed: int = 1,
                      windows=((60_000, 100_000, 1), (140_000, 180_000, 2),
                               (220_000, 260_000, 1)),
                      end_time: int = 400_000) -> dict:
@@ -300,7 +318,7 @@ def run_partition_12(out_dir, seed: int = 1, loss: float = 0.05,
     and that no published update is lost."""
     os.makedirs(out_dir, exist_ok=True)
     groups = {f"agent{i:02d}": i // 4 for i in range(12)}
-    sim = NetworkSim(seed, policy=LinkPolicy(("uniform", 2, 8), loss=loss,
+    sim = NetworkSim(seed, policy=LinkPolicy(("uniform", 2, 8), loss=PARTITION_LOSS,
                                              duplication=0.02, reorder=0.05),
                      topology=Topology(dict(groups)))
     agents = list(_build_team(sim, list(groups), [SyncConfig()] * 12, seed * 1000,
@@ -424,17 +442,21 @@ def run_max_rate(out_dir, agents: int = 2, docs: int = 1, changes: int = 10,
 # never-synchronized reproduction
 # ---------------------------------------------------------------------------
 
+NEVER_SYNC_EDIT_PERIOD = 100
+NEVER_SYNC_LATENCY = 10
+NEVER_SYNC_MERGE_DURATION = 85
 
-def run_never_sync(out_dir, policy: str, seed: int = 1, edit_period: int = 100,
-                   latency: int = 10, merge_duration: int = 85,
+
+def run_never_sync(out_dir, policy: str, seed: int = 1,
                    edit_stop: int = 10_000, hard_end: int = 40_000) -> dict:
-    """Two agents editing every edit_period ms with the master needing
-    merge_duration ms per merge; under merge-only the non-master never
-    sees the master's triples, under merge+rebase the run converges."""
+    """Two agents editing every NEVER_SYNC_EDIT_PERIOD ms with the master
+    needing NEVER_SYNC_MERGE_DURATION ms per merge; under merge-only the
+    non-master never sees the master's triples, under merge+rebase the
+    run converges."""
     os.makedirs(out_dir, exist_ok=True)
     doc = "doc:fast"
-    sim = NetworkSim(seed, policy=LinkPolicy(("fixed", latency)))
-    configs = [SyncConfig(policy=policy, merge_duration=merge_duration),
+    sim = NetworkSim(seed, policy=LinkPolicy(("fixed", NEVER_SYNC_LATENCY)))
+    configs = [SyncConfig(policy=policy, merge_duration=NEVER_SYNC_MERGE_DURATION),
                SyncConfig(policy=policy)]
     a, b = _build_team(sim, ["agent-a", "agent-b"], configs, seed, (doc,), {}).values()
     for ag in (a, b):
@@ -447,22 +469,17 @@ def run_never_sync(out_dir, policy: str, seed: int = 1, edit_period: int = 100,
             def fire(now, ag=agent, t=tag, i=k):
                 ag.local_change(doc, fresh_delta(f"{t}:{i}", 1), now)
             sim.call_at(when, fire)
-            when += edit_period
+            when += NEVER_SYNC_EDIT_PERIOD
             k += 1
 
     schedule_edits(a, "A")
     schedule_edits(b, "B")
+    # Scheduled before the run, this timer fires ahead of every merge
+    # that completes at edit_stop, so those count as after the stop.
+    merges_before_stop = []
+    sim.call_at(edit_stop, lambda now: merges_before_stop.append(a.stats["merges"]))
 
     samples = []
-    merges_after_stop = [0]
-    orig_complete = a._complete_merge
-
-    def counting_complete(docstate, pair, now):
-        if now >= edit_stop:
-            merges_after_stop[0] += 1
-        return orig_complete(docstate, pair, now)
-
-    a._complete_merge = counting_complete
 
     def count_by_author(graph):
         from_a = sum(1 for t in graph if t.subject.value.startswith("urn:A:"))
@@ -484,7 +501,7 @@ def run_never_sync(out_dir, policy: str, seed: int = 1, edit_period: int = 100,
     when = 0
     while when <= hard_end:
         sim.call_at(when, sample)
-        when += edit_period
+        when += NEVER_SYNC_EDIT_PERIOD
     when = edit_stop
     while when <= hard_end:
         sim.call_at(when, probe)
@@ -502,10 +519,10 @@ def run_never_sync(out_dir, policy: str, seed: int = 1, edit_period: int = 100,
     b_rows = [s for s in samples if s[1] == "agent-b" and s[0] <= edit_stop]
     b_never_saw_a = all(r[3] == 0 for r in b_rows)
     t_s = 0
-    t_m = merges_after_stop[0] * merge_duration
+    t_m = (a.stats["merges"] - merges_before_stop[0]) * NEVER_SYNC_MERGE_DURATION
     post_stop_msgs = sum(1 for e in sim.event_log if e[0] >= edit_stop
                          and e[3] == "revision")
-    t_c = post_stop_msgs * latency
+    t_c = post_stop_msgs * NEVER_SYNC_LATENCY
     t_u = 0
     t_total = t_s + t_m + t_c + t_u
     report = {
@@ -536,10 +553,11 @@ REGIONS = {
 }
 REGION_D = Rect(5, -5, 25, 15)
 MAPPING_DOC = "doc:datasets"
+MAPPING_CHUNK_SIZE = 4096
+MAPPING_PAYLOAD_BYTES = 40_000
 
 
-def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
-                       payload_bytes: int = 40_000) -> dict:
+def run_collab_mapping(out_dir, seed: int = 1) -> dict:
     """Scripted four-mission scan scenario with one injected transfer
     failure; the operator must end up holding A, C and the remainder
     scan but not B."""
@@ -551,17 +569,13 @@ def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
     agents = _build_team(sim, names, [SyncConfig()] * 4, seed * 1000, (MAPPING_DOC,), {})
     stores = {n: PayloadStore(os.path.join(out_dir, f"store-{n}")) for n in names}
 
-    payloads = {uri: rng.randbytes(payload_bytes) for uri in ("ds:A", "ds:B", "ds:C", "ds:D")}
-
-    def has_relation_triples(agent: SyncAgent, uri: str):
-        from .datasets import PRED_HAS
-        from .triples import Triple, iri
-        return {Triple(iri(agent.ident.uri), PRED_HAS, iri(uri))}
+    payloads = {uri: rng.randbytes(MAPPING_PAYLOAD_BYTES)
+                for uri in ("ds:A", "ds:B", "ds:C", "ds:D")}
 
     def publish_dataset(agent_name: str, uri: str, coverage: Rect):
         def fire(now):
             agent = agents[agent_name]
-            stores[agent_name].commit(uri, POINTS_CLOUD, payloads[uri], chunk_size)
+            stores[agent_name].commit(uri, POINTS_CLOUD, payloads[uri], MAPPING_CHUNK_SIZE)
             meta = DatasetMeta(uri, coverage, POINTS_CLOUD)
             rels = [
                 DatasetRelation(agent.ident, uri, "has"),
@@ -574,10 +588,9 @@ def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
 
     def start_transfer(sender_name: str, receiver_name: str, uri: str):
         def commit(rn, data):
-            stores[rn].commit(uri, POINTS_CLOUD, data, chunk_size)
-            agents[rn].local_change(
-                MAPPING_DOC, Delta.of(has_relation_triples(agents[rn], uri), ())
-            )
+            stores[rn].commit(uri, POINTS_CLOUD, data, MAPPING_CHUNK_SIZE)
+            has = relation_triple(DatasetRelation(agents[rn].ident, uri, "has"))
+            agents[rn].local_change(MAPPING_DOC, Delta.of({has}, ()))
             transfer_results[uri] = "committed"
 
         def abort(rn):
@@ -586,11 +599,9 @@ def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
 
         def fire(now):
             payload = payload_for_send(stores[sender_name], uri)
-            sessions = _wire_transfer(sim, uri, payload, chunk_size, sender_name,
-                                      {receiver_name: agents[receiver_name].ident.uuid},
-                                      commit, abort)
-            for name, session in sessions.items():
-                agents[name].attach_transfer(uri, session)
+            _wire_transfer(sim, uri, payload, MAPPING_CHUNK_SIZE, sender_name,
+                           {receiver_name: agents[receiver_name].ident.uuid}, commit, abort,
+                           lambda name, session: agents[name].attach_transfer(uri, session))
         return fire
 
     # missions A, B, C
@@ -656,11 +667,15 @@ def run_collab_mapping(out_dir, seed: int = 1, chunk_size: int = 4096,
 # transfer fuzz
 # ---------------------------------------------------------------------------
 
+FUZZ_PAYLOAD_BYTES = 1024 * 1024
+FUZZ_CHUNK_SIZE = 64 * 1024
+FUZZ_LOSS = 0.2
+FUZZ_DUPLICATION = 0.05
+FUZZ_REORDER = 0.1
+FUZZ_RECEIVERS = 3
 
-def run_transfer_fuzz(out_dir, runs: int = 200, seed: int = 0,
-                      payload_bytes: int = 1024 * 1024, chunk_size: int = 64 * 1024,
-                      loss: float = 0.2, duplication: float = 0.05,
-                      reorder: float = 0.1, receivers: int = 3) -> dict:
+
+def run_transfer_fuzz(out_dir, runs: int = 200, seed: int = 0) -> dict:
     """Seeded lossy transfers; every run must commit identical bytes on
     every receiver.  Also injects one corrupt-frame run that must abort
     cleanly, and checks the throttle trace bound."""
@@ -671,8 +686,7 @@ def run_transfer_fuzz(out_dir, runs: int = 200, seed: int = 0,
 
     for run_idx in range(runs):
         run_seed = seed + run_idx
-        ok, tau_ok, max_tau = _fuzz_one(run_seed, payload_bytes, chunk_size, loss,
-                                        duplication, reorder, receivers)
+        ok, tau_ok, max_tau = _fuzz_one(run_seed)
         rows.append((run_seed, int(ok), int(tau_ok), max_tau))
         failures += 0 if ok else 1
         tau_violations += 0 if tau_ok else 1
@@ -692,62 +706,51 @@ def run_transfer_fuzz(out_dir, runs: int = 200, seed: int = 0,
     }
 
 
-def _fuzz_one(run_seed, payload_bytes, chunk_size, loss, duplication, reorder,
-              receivers):
+def _fuzz_one(run_seed):
     rng = random.Random(run_seed)
-    payload = rng.randbytes(payload_bytes)
-    sim = NetworkSim(run_seed, policy=LinkPolicy(("uniform", 1, 10), loss=loss,
-                                                 duplication=duplication,
-                                                 reorder=reorder))
-    names = [f"r{i}" for i in range(receivers)]
+    payload = rng.randbytes(FUZZ_PAYLOAD_BYTES)
+    sim = NetworkSim(run_seed, policy=LinkPolicy(("uniform", 1, 10), loss=FUZZ_LOSS,
+                                                 duplication=FUZZ_DUPLICATION,
+                                                 reorder=FUZZ_REORDER))
+    names = [f"r{i}" for i in range(FUZZ_RECEIVERS)]
     sink = {n: [] for n in names}
     fail = {n: False for n in names}
-    for n in ["sender"] + names:
-        sim.register(n, lambda src, frame, now, n=n: sessions[n].on_msg(decode_frame(frame), now))
-    sessions = _wire_transfer(sim, "ds:fuzz", payload, chunk_size, "sender",
-                              {n: hashlib.md5(n.encode()).digest() for n in names},
-                              lambda n, data: sink[n].append(data),
-                              lambda n: fail.__setitem__(n, True))
-    sender = sessions["sender"]
+    sender = _wire_transfer(sim, "ds:fuzz", payload, FUZZ_CHUNK_SIZE, "sender",
+                            {n: hashlib.md5(n.encode()).digest() for n in names},
+                            lambda n, data: sink[n].append(data),
+                            lambda n: fail.__setitem__(n, True), _endpoint_attach(sim))
     n_chunks = len(sender.chunks)
     sim.advance(120_000)
 
     ok = all(sink[n] and sink[n][0] == payload for n in names) and not any(fail.values())
-    # tau can only move within the clamped per-step envelope
-    tau_ok = all(t >= 0 for t in sender.tau_trace)
+    final = sender.state
+    tau_ok = (final.throttle_down_seen - final.throttle_up_seen
+              <= final.tau <= final.throttle_down_seen)
+    # tau can only move within the clamped per-step envelope; the final
+    # tau is the last entry of the trace
     prev = 0
     for t in sender.tau_trace:
-        if t < 0 or t > prev + n_chunks * receivers + 64:
+        if t < 0 or t > prev + n_chunks * FUZZ_RECEIVERS + 64:
             tau_ok = False
         prev = t
-    final = sender.state
-    fold_upper = final.throttle_down_seen
-    if final.tau > fold_upper or final.tau < 0:
-        tau_ok = False
-    if final.tau < final.throttle_down_seen - final.throttle_up_seen:
-        tau_ok = False
     return ok, tau_ok, max(sender.tau_trace or [0])
 
 
 def _corruption_run(seed):
     """A receiver fed an oversized chunk must error out and abort with
     no partial payload left behind."""
-    from .wire import DataMsg
-
     sim = NetworkSim(seed, policy=LinkPolicy(("fixed", 2)))
     committed, aborted = [], []
-    for n in ("sender", "rx"):
-        sim.register(n, lambda src, frame, now, n=n: sessions[n].on_msg(decode_frame(frame), now))
+    sender = _wire_transfer(sim, "ds:bad", bytes(1000), 100, "sender", {"rx": b"\x09" * 16},
+                            lambda n, data: committed.append(data),
+                            lambda n: aborted.append(True), _endpoint_attach(sim))
     sim.register("evil", lambda *a: None)
-    sessions = _wire_transfer(sim, "ds:bad", bytes(1000), 100, "sender", {"rx": b"\x09" * 16},
-                              lambda n, data: committed.append(data),
-                              lambda n: aborted.append(True))
 
     def inject(now):
         sim.send(encode_frame(DataMsg("ds:bad", 4, b"\xff" * 500)), "evil", "rx")
     sim.call_at(8, inject)
     sim.advance(30_000)
-    return bool(aborted) and not committed and sessions["sender"].state.aborted
+    return bool(aborted) and not committed and sender.state.aborted
 
 
 # ---------------------------------------------------------------------------
@@ -791,14 +794,13 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
         payload = rng.randbytes(tr.total_bytes)
 
         def fire(now, t=tr, data=payload):
-            sessions = _wire_transfer(
+            _wire_transfer(
                 sim, t.dataset, data, t.chunk_size, t.sender,
                 {r: agents[r].ident.uuid for r in t.receivers},
                 lambda r, d: stores[r].commit(t.dataset, POINTS_CLOUD, d, t.chunk_size),
                 lambda r: stores[r].abort(t.dataset),
+                lambda name, session: agents[name].attach_transfer(t.dataset, session),
             )
-            for name, session in sessions.items():
-                agents[name].attach_transfer(t.dataset, session)
         sim.call_at(tr.time, fire)
 
     sim.advance(scenario.run_until)
@@ -831,8 +833,7 @@ def verify_run(out_dir) -> tuple[bool, list[str]]:
     summary = os.path.join(out_dir, "summary.csv")
     if os.path.exists(summary):
         checked += 1
-        with open(summary, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read_csv(summary)
         by_doc: dict[str, list] = {}
         for r in rows:
             by_doc.setdefault(r.get("document", "doc"), []).append(r)
@@ -858,8 +859,7 @@ def verify_run(out_dir) -> tuple[bool, list[str]]:
     events = os.path.join(out_dir, "events.csv")
     if os.path.exists(events):
         checked += 1
-        with open(events, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read_csv(events)
         times = [int(r["time_ms"]) for r in rows]
         monotone = all(a <= b for a, b in zip(times, times[1:]))
         ok &= monotone
@@ -869,8 +869,7 @@ def verify_run(out_dir) -> tuple[bool, list[str]]:
     manifest = os.path.join(out_dir, "payloads.csv")
     if os.path.exists(manifest):
         checked += 1
-        with open(manifest, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read_csv(manifest)
         intact = 0
         for r in rows:
             store = PayloadStore(os.path.join(out_dir, f"store-{r['holder']}"))
@@ -887,8 +886,7 @@ def verify_run(out_dir) -> tuple[bool, list[str]]:
     fuzz = os.path.join(out_dir, "transfer-fuzz.csv")
     if os.path.exists(fuzz):
         checked += 1
-        with open(fuzz, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read_csv(fuzz)
         clean = all(r["all_committed_identical"] == "1" for r in rows)
         ok &= clean
         lines.append(f"[{'PASS' if clean else 'FAIL'}] transfer-fuzz.csv: "

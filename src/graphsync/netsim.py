@@ -67,14 +67,13 @@ class NetworkSim:
     sorted broadcast targets of each sender are built on its first
     broadcast and dropped by `register`.
 
-    Each frame object handed to `send` is decoded at most once per
-    world: while copies of it are queued, the first receiver that asks
-    `decoded` for its message decodes it and every other receiver,
-    duplicated copies included, gets the same message object.  That is
-    safe because wire messages and revisions are frozen, and each
-    receiver keeps whether a revision is local in its own graph.  The
-    entry is dropped when the last queued copy has been dispatched or
-    dropped, so the memo holds only frames in flight.
+    Each call to `send` decodes its frame at most once: all the copies
+    it queues share one ``[frame, message]`` cell, the first receiver
+    that asks `decoded` for the message fills it, and every other
+    receiver, duplicated copies included, gets the same message object.
+    That is safe because wire messages and revisions are frozen, and
+    each receiver keeps whether a revision is local in its own graph.
+    The cell lives as long as its queued copies.
     """
 
     def __init__(
@@ -88,8 +87,8 @@ class NetworkSim:
         self.topology = topology or Topology()
         self._now = 0
         self._seq = itertools.count()
-        # (time, seq, 0, fn) for a timer, (time, seq, 1, (src, dst, frame))
-        # for a delivery
+        # (time, seq, 0, fn) for a timer, (time, seq, 1, (src, dst, cell))
+        # for a delivery, where cell is [frame, decoded message or None]
         self._heap: list[tuple[int, int, int, object]] = []
         self._endpoints: dict[str, Callable[[str, bytes, int], None]] = {}
         # sender -> every other endpoint, sorted; filled by broadcasts
@@ -104,9 +103,8 @@ class NetworkSim:
         self._offline_now: frozenset[int] = frozenset()
         self.event_log: list[tuple[int, str, str, str, int]] = []
         self.dropped = 0
-        # id(frame) -> [copies still queued, decoded message or None]; the
-        # queued copies keep the frame alive, so its id cannot be reused.
-        self._in_flight: dict[int, list] = {}
+        # the cell of the delivery being dispatched
+        self._cell: Optional[list] = None
 
     # -- wiring ---------------------------------------------------------
 
@@ -190,6 +188,7 @@ class NetworkSim:
                     name for name in self._endpoints if name != src
                 )
         rng, policy, now = self.rng, self.policy, self._now
+        cell = [frame, None]
         times = []
         for target in targets:
             if not self.connected(src, target, now):
@@ -206,22 +205,21 @@ class NetworkSim:
                 if rng.random() < policy.reorder:
                     latency += policy.draw_latency(rng)
                 when = now + latency
-                heapq.heappush(self._heap, (when, next(self._seq), 1, (src, target, frame)))
+                heapq.heappush(self._heap, (when, next(self._seq), 1, (src, target, cell)))
                 times.append(when)
-        if times:
-            self._in_flight.setdefault(id(frame), [0, None])[0] += len(times)
         return times
 
     def decoded(self, frame: bytes, decode: Callable[[bytes], object]):
-        """The message of `frame`: decoded by `decode` once for all its
-        queued copies, or on every call for a frame not in flight.  A
-        frame that fails to decode caches nothing."""
-        entry = self._in_flight.get(id(frame))
-        if entry is None:
+        """The message of `frame`: decoded by `decode` once for all the
+        copies one `send` queued, or on every call for a frame the
+        simulator is not dispatching.  A frame that fails to decode
+        caches nothing."""
+        cell = self._cell
+        if cell is None or cell[0] is not frame:
             return decode(frame)
-        if entry[1] is None:
-            entry[1] = decode(frame)
-        return entry[1]
+        if cell[1] is None:
+            cell[1] = decode(frame)
+        return cell[1]
 
     # -- event loop ---------------------------------------------------------
 
@@ -235,20 +233,16 @@ class NetworkSim:
             if tag == 0:
                 item(time)
                 continue
-            src, dst, frame = item
-            key = id(frame)
-            entry = self._in_flight[key]
-            entry[0] -= 1
-            try:
-                if not self.connected(src, dst, time):
-                    self.dropped += 1
-                    continue
-                kind = KIND_NAMES.get(frame_kind(frame), "?")
-                self.event_log.append((time, src, dst, kind, len(frame)))
-                self._endpoints[dst](src, frame, time)
-            finally:
-                if not entry[0]:
-                    del self._in_flight[key]
+            src, dst, cell = item
+            if not self.connected(src, dst, time):
+                self.dropped += 1
+                continue
+            frame = cell[0]
+            kind = KIND_NAMES.get(frame_kind(frame), "?")
+            self.event_log.append((time, src, dst, kind, len(frame)))
+            self._cell = cell
+            self._endpoints[dst](src, frame, time)
+        self._cell = None
         self._now = until
 
     def write_event_log(self, path) -> None:

@@ -156,7 +156,9 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
             elif kind == REC_REVISION:
                 h = r.take(HASH_LEN)
                 author = r.take(16)
-                timestamp, n_parents, local = struct.unpack(">qB?", r.take(10))
+                timestamp, n_parents, local = struct.unpack(">qBB", r.take(10))
+                if local > 1:
+                    raise CorruptLog(f"local flag {local} is neither 0 nor 1")
                 r.take_bytes()  # signature
                 revisions[h] = (author, timestamp, n_parents, local, [])
             elif kind == REC_DELTA:

@@ -69,9 +69,13 @@ class SenderState:
     tau: int = 0
     finished: bool = False
     aborted: bool = False
-    finished_sent: bool = False
     throttle_up_seen: int = 0
     throttle_down_seen: int = 0
+
+    @property
+    def finished_sent(self) -> bool:
+        """Finished went out: every step that ends finished and streaming sends it."""
+        return self.finished and self.streaming
 
 
 def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
@@ -103,7 +107,6 @@ def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
     streaming = state.streaming or ready >= state.receivers
     finished = state.finished
     next_seq = state.next_sequence
-    finished_sent = state.finished_sent
 
     if streaming and not finished and not aborted:
         if next_seq >= len(chunks):
@@ -119,7 +122,6 @@ def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
         # re-emitted on every later step so a lost Finished cannot strand
         # a receiver; receivers ignore duplicates
         out.append(FinishedMsg(state.dataset, len(chunks) - 1))
-        finished_sent = True
 
     new_state = replace(
         state,
@@ -129,7 +131,6 @@ def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
         tau=tau,
         finished=finished,
         aborted=aborted,
-        finished_sent=finished_sent,
         throttle_up_seen=ups,
         throttle_down_seen=downs,
     )

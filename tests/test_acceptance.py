@@ -97,8 +97,7 @@ class TestCriterion1WorkedExample:
 class TestCriterion2MergeScaling:
     def test_merge_scaling_fits(self, tmp_path):
         t0 = time.perf_counter()
-        res = experiments.run_merge_scaling(tmp_path, revisions=200, seed=1,
-                                            triple_counts=(10, 100))
+        res = experiments.run_merge_scaling(tmp_path, revisions=200, triple_counts=(10, 100))
         fits = {}
         for n in (10, 100):
             singles = res[n]["singles"]
@@ -186,11 +185,11 @@ class TestCriterion5NeverSynchronized:
 class TestCriterion6TransferIntegrity:
     def test_fuzz_200_runs(self, tmp_path):
         t0 = time.perf_counter()
-        res = experiments.run_transfer_fuzz(
-            tmp_path, runs=200, seed=0,
-            payload_bytes=1024 * 1024, chunk_size=64 * 1024,
-            loss=0.2, duplication=0.05, reorder=0.1, receivers=3,
-        )
+        assert (experiments.FUZZ_PAYLOAD_BYTES, experiments.FUZZ_CHUNK_SIZE) == (
+            1024 * 1024, 64 * 1024)
+        assert (experiments.FUZZ_LOSS, experiments.FUZZ_DUPLICATION,
+                experiments.FUZZ_REORDER, experiments.FUZZ_RECEIVERS) == (0.2, 0.05, 0.1, 3)
+        res = experiments.run_transfer_fuzz(tmp_path, runs=200, seed=0)
         assert res["failures"] == 0
         assert res["tau_violations"] == 0
         assert res["corruption_aborts_cleanly"]

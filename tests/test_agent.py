@@ -118,6 +118,8 @@ class TestExternalRevisions:
         assert len(doc.gor.heads()) == 1
         assert converged((a, b, c))
         assert a.head_graph(DOC) == fresh_triples("a", 2) | fresh_triples("b", 2) | fresh_triples("c", 2)
+        # three heads fold into one with two merges, all by the master
+        assert [ag.stats["merges"] for ag in (a, b, c)] == [2, 0, 0]
 
     def test_rebase_after_merge_revision(self):
         sim, (a, b) = make_team(2)
@@ -334,7 +336,6 @@ class TestDecodeOnce:
         received = [ag.documents[DOC].gor.get(rev.hash) for ag in agents[1:]]
         assert all(r is received[0] for r in received)
         assert not any(ag.documents[DOC].gor.is_local(rev.hash) for ag in agents)
-        assert sim._in_flight == {}
 
     def test_malformed_frame_caches_nothing(self, decodes):
         sim, agents = make_team(3)
@@ -344,7 +345,6 @@ class TestDecodeOnce:
         # each receiver decodes it anew: the first failure cached nothing
         assert sum(f is bad for f in decodes) == 2
         assert [ag.stats["undecodable"] for ag in agents] == [0, 1, 1]
-        assert sim._in_flight == {}
 
     def test_frame_outside_simulator_decoded_per_call(self, decodes):
         sim, (a, b) = make_team(2)

@@ -16,8 +16,7 @@ def read(path):
 
 class TestMergeScaling:
     def test_small_run_shapes(self, tmp_path):
-        res = experiments.run_merge_scaling(tmp_path, revisions=30, seed=1,
-                                            triple_counts=(10,))
+        res = experiments.run_merge_scaling(tmp_path, revisions=30, triple_counts=(10,))
         assert res[10]["final_triples"] == 5 + 30 * 10
         assert len(res[10]["singles"]) == 29
         assert read(tmp_path / "merge-scaling.csv").startswith(b"triples_per_revision")
@@ -128,6 +127,20 @@ class TestCli:
     def test_run_collab_mapping(self, tmp_path, capsys):
         rc = main(["run", "collab-mapping", "--seed", "5", "--out", str(tmp_path)])
         assert rc == 0
+
+    def test_run_merge_scaling(self, tmp_path, capsys):
+        rc = main(["run", "merge-scaling", "--seed", "5", "--revisions", "20",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "merge-scaling: 20 revisions" in capsys.readouterr().out
+        rows = read(tmp_path / "merge-scaling.csv").decode().strip().splitlines()
+        assert len(rows) == 1 + 2 * 19   # 19 merges for each of 10 and 100 triples
+
+    def test_run_partition_12(self, tmp_path, capsys):
+        rc = main(["run", "partition-12", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "partition-12: converged" in capsys.readouterr().out
+        assert main(["verify", str(tmp_path)]) == 0
 
     def test_run_max_rate_and_verify(self, tmp_path, capsys):
         rc = main(["run", "max-rate", "--seed", "5", "--agents", "2", "--docs", "1",

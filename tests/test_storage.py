@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from graphsync.revisions import ROOT_REVISION, GraphOfRevisions, make_revision, ParentLink
+from graphsync.revisions import HASH_LEN, ROOT_REVISION, GraphOfRevisions, make_revision, ParentLink
 from graphsync.storage import CorruptLog, load_document, save_document
 from graphsync.triples import Delta, literal, triple
 
@@ -102,3 +102,30 @@ def test_damaged_logs_fail_only_as_corrupt_log(tmp_path):
         else:
             outcomes["loaded"] += 1
     assert outcomes["corrupt"] > outcomes["loaded"]
+
+
+def test_local_flag_other_than_zero_or_one_rejected(tmp_path):
+    """The local flag of a revision record is covered by no digest.  Of
+    the eight bit flips of a set flag, the seven that leave a value
+    other than 0 or 1 are refused; the one that clears it loads, as an
+    unpublished revision turned published, and cannot be detected."""
+    gor = GraphOfRevisions("doc:log")
+    rev = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), ts=1, local=True)
+    path = tmp_path / "doc.log"
+    save_document(gor, path)
+    blob = path.read_bytes()
+    # revision record body: hash, author, timestamp (8), parent count (1), flag
+    at = blob.index(rev.hash + rev.author) + HASH_LEN + len(rev.author) + 9
+    assert blob[at] == 1
+    refused = []
+    for bit in range(8):
+        flipped = bytearray(blob)
+        flipped[at] ^= 1 << bit
+        path.write_bytes(bytes(flipped))
+        try:
+            loaded, _ = load_document(path)
+        except CorruptLog:
+            refused.append(bit)
+        else:
+            assert not loaded.is_local(rev.hash)
+    assert refused == [1, 2, 3, 4, 5, 6, 7]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsync.revisions import (
     ROOT_REVISION,
@@ -25,6 +27,8 @@ from graphsync.wire import (
     decode_frame,
     encode_frame,
 )
+
+from test_triples import deltas
 
 ALICE = AgentId(b"\x01" * 16, "alice", b"pk-alice")
 BOB = AgentId(b"\x02" * 16, "bob")
@@ -147,3 +151,46 @@ def test_malformed_frames_rejected():
 def test_empty_wanted_list_rejected():
     with pytest.raises(ValueError):
         RevisionRequestMsg("doc:map", ALICE.uuid, ())
+
+
+# ---------------------------------------------------------------------------
+# Properties of the frame codec over every message kind
+# ---------------------------------------------------------------------------
+
+uris = st.text(max_size=12)
+uuids = st.binary(min_size=16, max_size=16)
+digests = st.binary(min_size=64, max_size=64)
+agents = st.builds(AgentId, uuids, st.text(max_size=8), st.binary(max_size=8))
+int64s = st.integers(-(2**63), 2**63 - 1)
+revisions = st.builds(
+    make_revision, uuids, int64s,
+    st.lists(st.builds(ParentLink, digests, deltas), min_size=1, max_size=2),
+)
+messages = st.one_of(
+    st.builds(StatusMsg, agents, uris, digests, st.booleans()),
+    st.builds(RevisionMsg, uris, revisions),
+    st.builds(RevisionRequestMsg, uris, uuids, st.lists(digests, min_size=1, max_size=3).map(tuple)),
+    st.builds(VoteMsg, uris, uuids, uuids, st.integers(0, 2**32 - 1), int64s, int64s),
+    st.builds(ReadyMsg, uris, uuids),
+    st.builds(DataMsg, uris, st.integers(0, 2**64 - 1), st.binary(max_size=32)),
+    st.builds(ResendRequestMsg, uris, uuids, st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple)),
+    st.builds(ErrorMsg, uris, uuids),
+    st.builds(ThrottleUpMsg, uris, uuids),
+    st.builds(ThrottleDownMsg, uris, uuids),
+    st.builds(FinishedMsg, uris, int64s),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages)
+def test_every_message_kind_round_trips(msg):
+    assert roundtrip(msg) == msg
+
+
+@settings(max_examples=150, deadline=None)
+@given(messages)
+def test_every_proper_prefix_raises_value_error(msg):
+    frame = encode_frame(msg)
+    for n in range(len(frame)):
+        with pytest.raises(ValueError):
+            decode_frame(frame[:n])
