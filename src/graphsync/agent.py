@@ -40,17 +40,6 @@ from .revisions import (
 )
 from .triples import Delta
 from .wire import (
-    KIND_DATA,
-    KIND_ERROR,
-    KIND_FINISHED,
-    KIND_READY,
-    KIND_RESEND_REQUEST,
-    KIND_REVISION,
-    KIND_REVISION_REQUEST,
-    KIND_STATUS,
-    KIND_THROTTLE_DOWN,
-    KIND_THROTTLE_UP,
-    KIND_VOTE,
     AgentId,
     RevisionMsg,
     RevisionRequestMsg,
@@ -58,18 +47,7 @@ from .wire import (
     VoteMsg,
     decode_frame,
     encode_frame,
-    frame_kind,
 )
-
-TRANSFER_KINDS = {
-    KIND_READY,
-    KIND_DATA,
-    KIND_RESEND_REQUEST,
-    KIND_ERROR,
-    KIND_THROTTLE_UP,
-    KIND_THROTTLE_DOWN,
-    KIND_FINISHED,
-}
 
 POLICY_MERGE_REBASE = "merge-rebase"
 POLICY_MERGE_ONLY = "merge-only"
@@ -105,7 +83,6 @@ class DocState:
     def __init__(self, uri: str):
         self.gor = GraphOfRevisions(uri)
         self.own_head: bytes = self.gor.root.hash
-        self.local_queue: list[bytes] = []
         self.peers: dict[bytes, PeerInfo] = {}
         self.master: Optional[bytes] = None
         self.master_head: Optional[bytes] = None
@@ -115,6 +92,12 @@ class DocState:
         self.last_status_sent: Optional[int] = None
         self.merge_in_progress: bool = False
         self.master_set_at: int = 0
+
+    @property
+    def local_queue(self):
+        """The unpublished local revisions, oldest first: a read-only
+        view of the graph's local set."""
+        return self.gor.unpublished
 
 
 class SyncAgent:
@@ -174,8 +157,6 @@ class SyncAgent:
 
     def _publish_revision(self, doc: DocState, rev: Revision) -> None:
         doc.gor.publish(rev.hash)
-        if rev.hash in doc.local_queue:
-            doc.local_queue.remove(rev.hash)
         self.published_log.append(rev.hash)
         self._broadcast(RevisionMsg(doc.gor.uri, rev))
 
@@ -212,8 +193,6 @@ class SyncAgent:
         doc.own_head = rev.hash
         if self.config.policy == POLICY_MERGE_ONLY or self._synced_with_master(doc, rev):
             self._publish_revision(doc, rev)
-        else:
-            doc.local_queue.append(rev.hash)
         if doc.master == self.ident.uuid:
             doc.master_head = doc.own_head
             self._run_master_merges(doc, now)
@@ -234,27 +213,19 @@ class SyncAgent:
         other frame is decoded here.  A frame that does not decode (a
         revision with a wrong digest too) is dropped and counted."""
         try:
-            kind = frame_kind(frame)
             msg = self.sim.decoded(frame, decode_frame)
         except ValueError:
             self.stats["undecodable"] += 1
             return
-        if kind in TRANSFER_KINDS:
+        handle = self._DOC_HANDLERS.get(type(msg))
+        if handle is None:
             session = self.transfers.get(msg.dataset_uri)
             if session is not None:
                 session.on_msg(msg, now)
             return
         doc = self.documents.get(msg.document_uri)
-        if doc is None:
-            return
-        if kind == KIND_STATUS:
-            self._handle_status(doc, msg, now)
-        elif kind == KIND_REVISION:
-            self._handle_revision(doc, msg, now)
-        elif kind == KIND_REVISION_REQUEST:
-            self._handle_revision_request(doc, msg, now)
-        elif kind == KIND_VOTE:
-            self._handle_vote(doc, msg, now)
+        if doc is not None:
+            handle(self, doc, msg, now)
 
     # -- status -------------------------------------------------------------
 
@@ -363,7 +334,6 @@ class SyncAgent:
             moved = rebase_revisions(doc.gor, doc.own_head, merge_hash, now // 1000)
         except (NotLinear, NotLocal, KeyError):
             return
-        doc.local_queue = []
         doc.own_head = moved[-1].hash
         for rev in moved:
             self._publish_revision(doc, rev)
@@ -527,6 +497,14 @@ class SyncAgent:
 
             if doc.master == self.ident.uuid:
                 self._run_master_merges(doc, now)
+
+    # what on_frame calls for each document message
+    _DOC_HANDLERS = {
+        StatusMsg: _handle_status,
+        RevisionMsg: _handle_revision,
+        RevisionRequestMsg: _handle_revision_request,
+        VoteMsg: _handle_vote,
+    }
 
     # -- transfer plumbing ------------------------------------------------------
 

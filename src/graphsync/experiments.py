@@ -44,6 +44,7 @@ POINTS_CLOUD = NS + "points_cloud"
 # keeps its fastest pass.
 TIMING_REPEATS = 3
 REBASE_CHANGE_COUNTS = (10, 20, 30, 40, 50)
+REBASE_MAX_REVISIONS = 40
 
 
 def _write_csv(path, header, rows):
@@ -121,11 +122,8 @@ def _endpoint_attach(sim: NetworkSim):
         name, lambda src, frame, now: session.on_msg(decode_frame(frame), now))
 
 
-def fresh_delta(tag: str, count: int, start: int = 0) -> Delta:
-    return Delta.of(
-        {triple(f"urn:{tag}:{i}", "urn:p", f"urn:v:{i}") for i in range(start, start + count)},
-        (),
-    )
+def fresh_delta(tag: str, count: int) -> Delta:
+    return Delta.of({triple(f"urn:{tag}:{i}", "urn:p", f"urn:v:{i}") for i in range(count)}, ())
 
 
 def fit_r2(xs, ys, degree: int = 1) -> float:
@@ -243,9 +241,9 @@ def _build_rebase_world(n_revisions: int, changes: int, seed: int):
     return gor, dest.hash, head
 
 
-def run_rebase_scaling(out_dir, max_revisions: int = 40, seed: int = 1) -> dict:
+def run_rebase_scaling(out_dir, seed: int = 1) -> dict:
     os.makedirs(out_dir, exist_ok=True)
-    cases = [(n_rev, changes, squashed) for n_rev in range(1, max_revisions + 1)
+    cases = [(n_rev, changes, squashed) for n_rev in range(1, REBASE_MAX_REVISIONS + 1)
              for changes in REBASE_CHANGE_COUNTS for squashed in (False, True)]
     best: dict[tuple, float] = {}
     outcome: dict[tuple, tuple[int, int]] = {}
@@ -282,7 +280,7 @@ def run_rebase_scaling(out_dir, max_revisions: int = 40, seed: int = 1) -> dict:
 
     # tip equality between variants, same seed
     equal_tips = True
-    for n_rev in (1, 5, 20, max_revisions):
+    for n_rev in (1, 5, 20, REBASE_MAX_REVISIONS):
         gor_a, dest_a, head_a = _build_rebase_world(n_rev, 20, seed)
         moved_a = rebase_revisions(gor_a, head_a, dest_a, 1001)
         gor_b, dest_b, head_b = _build_rebase_world(n_rev, 20, seed)

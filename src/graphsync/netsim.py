@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .wire import KIND_NAMES, frame_kind
+from .wire import KIND_NAMES
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ class NetworkSim:
                 self.dropped += 1
                 continue
             frame = cell[0]
-            kind = KIND_NAMES.get(frame_kind(frame), "?")
+            kind = KIND_NAMES.get(frame[0], "?") if frame else "?"
             self.event_log.append((time, src, dst, kind, len(frame)))
             self._cell = cell
             self._endpoints[dst](src, frame, time)

@@ -153,7 +153,8 @@ class GraphOfRevisions:
         self._mat: dict[bytes, frozenset] = {ROOT_REVISION.hash: frozenset()}
         self._heads: set[bytes] = {ROOT_REVISION.hash}
         self._resolved: set[bytes] = {ROOT_REVISION.hash}
-        self._local: set[bytes] = set()
+        # a dict for its insertion order: `unpublished` lists oldest first
+        self._local: dict[bytes, None] = {}
         # (a, b) -> is_ancestor(a, b), for resolved b only
         self._ancestry: dict[tuple[bytes, bytes], bool] = {}
 
@@ -183,7 +184,7 @@ class GraphOfRevisions:
         if rev.hash not in self._revs:
             self._revs[rev.hash] = rev
             if local:
-                self._local.add(rev.hash)
+                self._local[rev.hash] = None
             if not self._children.setdefault(rev.hash, set()):
                 self._heads.add(rev.hash)
             for link in rev.parents:
@@ -195,8 +196,13 @@ class GraphOfRevisions:
     def is_local(self, h: bytes) -> bool:
         return h in self._local
 
+    @property
+    def unpublished(self):
+        """The local revisions, oldest first, as a read-only view."""
+        return self._local.keys()
+
     def publish(self, h: bytes) -> None:
-        self._local.discard(h)
+        self._local.pop(h, None)
 
     def _spread_resolution(self, h: bytes) -> None:
         """Mark h resolved if all its parents are, then every present
@@ -232,7 +238,7 @@ class GraphOfRevisions:
             self._mat.pop(h, None)
             self._heads.discard(h)
             self._resolved.discard(h)
-            self._local.discard(h)
+            self._local.pop(h, None)
             for link in rev.parents:
                 kids = self._children.get(link.parent)
                 if kids is not None:

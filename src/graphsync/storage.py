@@ -2,11 +2,12 @@
 
 Three record kinds mirror the storage layout of the in-memory model:
 triple records for the head graph, revision records for the metadata,
-and delta records for the parent edges.  Records are length-prefixed
-binary frames; reloading rebuilds the graph of revisions, re-verifies
-every revision hash and cross-checks the head materialization against
-the stored triples.  A revision record's signature field is written
-empty and skipped on read.
+and delta records for the parent edges.  A record is a kind byte and an
+`I`-prefixed body, made and read with `wire.pack` and `wire.Reader`;
+reloading rebuilds the graph of revisions, re-verifies every revision
+hash and cross-checks the head materialization against the stored
+triples.  A revision record's signature field is written empty and
+skipped on read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .revisions import (
     verified_revision,
 )
 from .triples import Term, Triple, canonical_key, delta_parse, delta_serialize, IRI, LITERAL
+from .wire import Reader, pack
 
 REC_HEADER = 0
 REC_TRIPLE = 1
@@ -36,44 +38,23 @@ class CorruptLog(ValueError):
     pass
 
 
-def _pack_bytes(b: bytes) -> bytes:
-    return struct.pack(">I", len(b)) + b
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptLog("truncated record")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def take_bytes(self) -> bytes:
-        (n,) = struct.unpack(">I", self.take(4))
-        return self.take(n)
-
-
 def _encode_term(t: Term) -> bytes:
     return (
         bytes([_KIND_BYTE[t.kind]])
-        + _pack_bytes(t.value.encode("utf-8"))
-        + _pack_bytes((t.datatype or "").encode("utf-8"))
+        + pack(t.value.encode("utf-8"), "I")
+        + pack((t.datatype or "").encode("utf-8"), "I")
     )
 
 
-def _decode_term(r: _Reader) -> Term:
+def _decode_term(r: Reader) -> Term:
     kind = _BYTE_KIND[r.take(1)[0]]
-    value = r.take_bytes().decode("utf-8")
-    datatype = r.take_bytes().decode("utf-8") or None
+    value = r.take_prefixed("I").decode("utf-8")
+    datatype = r.take_prefixed("I").decode("utf-8") or None
     return Term(kind, value, datatype)
 
 
 def _write_record(fh: BinaryIO, kind: int, body: bytes) -> None:
-    fh.write(struct.pack(">BI", kind, len(body)) + body)
+    fh.write(bytes([kind]) + pack(body, "I"))
 
 
 def save_document(gor: GraphOfRevisions, path, head: bytes | None = None) -> None:
@@ -84,7 +65,7 @@ def save_document(gor: GraphOfRevisions, path, head: bytes | None = None) -> Non
         head = heads[0] if heads else gor.root.hash
     order = _topo_order(gor)
     with open(path, "wb") as fh:
-        _write_record(fh, REC_HEADER, _pack_bytes(gor.uri.encode("utf-8")) + head)
+        _write_record(fh, REC_HEADER, pack(gor.uri.encode("utf-8"), "I") + head)
         for rev in order:
             if rev.is_root:
                 continue
@@ -92,13 +73,13 @@ def save_document(gor: GraphOfRevisions, path, head: bytes | None = None) -> Non
                 rev.hash
                 + rev.author
                 + struct.pack(">qB?", rev.timestamp, len(rev.parents), gor.is_local(rev.hash))
-                + _pack_bytes(b"")
+                + pack(b"", "I")
             )
             _write_record(fh, REC_REVISION, body)
             for link in rev.parents:
                 delta_text = delta_serialize(link.delta).encode("utf-8")
                 _write_record(
-                    fh, REC_DELTA, link.parent + rev.hash + _pack_bytes(delta_text)
+                    fh, REC_DELTA, link.parent + rev.hash + pack(delta_text, "I")
                 )
         for t in sorted(gor.materialize(head), key=canonical_key):
             _write_record(
@@ -139,19 +120,13 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
     revisions: dict[bytes, tuple] = {}
     triples: set[Triple] = set()
 
+    log = Reader(data)
     try:
-        pos = 0
-        while pos < len(data):
-            if pos + 5 > len(data):
-                raise CorruptLog("truncated frame")
-            kind, length = struct.unpack(">BI", data[pos : pos + 5])
-            pos += 5
-            if pos + length > len(data):
-                raise CorruptLog("truncated frame body")
-            r = _Reader(data[pos : pos + length])
-            pos += length
+        while log.pos < len(data):
+            kind = log.take(1)[0]
+            r = Reader(log.take_prefixed("I"))
             if kind == REC_HEADER:
-                uri = r.take_bytes().decode("utf-8")
+                uri = r.take_prefixed("I").decode("utf-8")
                 head = r.take(HASH_LEN)
             elif kind == REC_REVISION:
                 h = r.take(HASH_LEN)
@@ -159,12 +134,12 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
                 timestamp, n_parents, local = struct.unpack(">qBB", r.take(10))
                 if local > 1:
                     raise CorruptLog(f"local flag {local} is neither 0 nor 1")
-                r.take_bytes()  # signature
+                r.take_prefixed("I")  # signature
                 revisions[h] = (author, timestamp, n_parents, local, [])
             elif kind == REC_DELTA:
                 parent = r.take(HASH_LEN)
                 child = r.take(HASH_LEN)
-                delta = delta_parse(r.take_bytes().decode("utf-8"))
+                delta = delta_parse(r.take_prefixed("I").decode("utf-8"))
                 if child not in revisions:
                     raise CorruptLog("delta record before its revision record")
                 revisions[child][4].append(ParentLink(parent, delta))
@@ -172,10 +147,11 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
                 triples.add(Triple(_decode_term(r), _decode_term(r), _decode_term(r)))
             else:
                 raise CorruptLog(f"unknown record kind {kind}")
+            r.done()
     except CorruptLog:
         raise
     except (ValueError, KeyError, struct.error) as exc:
-        # a damaged byte: bad UTF-8, delta text or term kind
+        # a damaged byte: bad record length, UTF-8, delta text or term kind
         raise CorruptLog(f"undecodable record: {exc!r}") from exc
 
     gor = GraphOfRevisions(uri)

@@ -6,6 +6,8 @@ UUIDs as raw 16 bytes, and deltas as their canonical text encoding.
 The layouts are frozen; golden-frame tests pin the exact bytes.  The
 signature field of a revision frame is written empty and skipped on
 read; decoding checks the revision's digest (`verified_revision`).
+No other module reads frame bytes; the revision log packs and reads
+its records with `pack` and `Reader`.
 """
 
 from __future__ import annotations
@@ -145,20 +147,21 @@ class FinishedMsg:
     last_sequence: int  # -1 for an empty payload
 
 
-def _pack(b: bytes, width: str = "H") -> bytes:
+def pack(b: bytes, width: str = "H") -> bytes:
+    """b prefixed by its length, packed big-endian as struct code `width`."""
     return struct.pack(">" + width, len(b)) + b
 
 
 def _frame(kind: int, uri: str, body: bytes) -> bytes:
-    return bytes([kind]) + _pack(uri.encode("utf-8")) + body
+    return bytes([kind]) + pack(uri.encode("utf-8")) + body
 
 
 def encode_frame(msg) -> bytes:
     if isinstance(msg, StatusMsg):
         body = (
             msg.sender.uuid
-            + _pack(msg.sender.name.encode("utf-8"))
-            + _pack(msg.sender.public_key)
+            + pack(msg.sender.name.encode("utf-8"))
+            + pack(msg.sender.public_key)
             + msg.head_hash
             + bytes([1 if msg.is_merge_master else 0])
         )
@@ -169,11 +172,11 @@ def encode_frame(msg) -> bytes:
             rev.author
             + struct.pack(">q", rev.timestamp)
             + rev.hash
-            + _pack(b"")
+            + pack(b"")
             + bytes([len(rev.parents)])
         )
         for link in rev.parents:
-            body += link.parent + _pack(delta_serialize(link.delta).encode("utf-8"), "I")
+            body += link.parent + pack(delta_serialize(link.delta).encode("utf-8"), "I")
         return _frame(KIND_REVISION, msg.document_uri, body)
     if isinstance(msg, RevisionRequestMsg):
         body = msg.requester + struct.pack(">H", len(msg.wanted)) + b"".join(msg.wanted)
@@ -187,7 +190,7 @@ def encode_frame(msg) -> bytes:
         return _frame(KIND_READY, msg.dataset_uri, msg.receiver)
     if isinstance(msg, DataMsg):
         return _frame(
-            KIND_DATA, msg.dataset_uri, struct.pack(">Q", msg.sequence) + _pack(msg.data, "I")
+            KIND_DATA, msg.dataset_uri, struct.pack(">Q", msg.sequence) + pack(msg.data, "I")
         )
     if isinstance(msg, ResendRequestMsg):
         body = msg.requester + struct.pack(">H", len(msg.sequences))
@@ -204,7 +207,9 @@ def encode_frame(msg) -> bytes:
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
-class _Body:
+class Reader:
+    """Bounds-checked reads; a short read or a leftover byte raises MalformedFrame."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -230,7 +235,7 @@ def decode_frame(raw: bytes):
     if len(raw) < 3:
         raise MalformedFrame("frame too short")
     kind = raw[0]
-    body = _Body(raw[1:])
+    body = Reader(raw[1:])
     uri = body.take_prefixed().decode("utf-8")
 
     if kind == KIND_STATUS:
@@ -298,9 +303,3 @@ def decode_frame(raw: bytes):
         body.done()
         return FinishedMsg(uri, last)
     raise MalformedFrame(f"unknown frame kind {kind}")
-
-
-def frame_kind(raw: bytes) -> int:
-    if not raw:
-        raise MalformedFrame("empty frame")
-    return raw[0]

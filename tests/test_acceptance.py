@@ -127,7 +127,7 @@ class TestCriterion2MergeScaling:
 class TestCriterion3RebaseScaling:
     def test_rebase_scaling_fits(self, tmp_path):
         t0 = time.perf_counter()
-        res = experiments.run_rebase_scaling(tmp_path, max_revisions=40, seed=1)
+        res = experiments.run_rebase_scaling(tmp_path, seed=1)
         means = res["mean_seconds_by_revisions"]
         xs = sorted(means)
         ys = [means[x] for x in xs]

@@ -53,7 +53,7 @@ class TestLocalChangePolicy:
         sim, (a, b) = make_team(2)
         rev = a.local_change(DOC, Delta.of(fresh_triples("a", 2), ()))
         assert a.documents[DOC].gor.is_local(rev.hash)
-        assert a.documents[DOC].local_queue == [rev.hash]
+        assert list(a.documents[DOC].local_queue) == [rev.hash]
 
     def test_change_published_when_synced_with_master(self):
         sim, (a, b) = make_team(2)
@@ -61,7 +61,7 @@ class TestLocalChangePolicy:
             agent.preset_master(DOC, a.ident.uuid)
         rev = b.local_change(DOC, Delta.of(fresh_triples("b", 1), ()))
         assert not b.documents[DOC].gor.is_local(rev.hash)
-        assert b.documents[DOC].local_queue == []
+        assert list(b.documents[DOC].local_queue) == []
         sim.advance(50)
         assert rev.hash in a.documents[DOC].gor
 
@@ -72,7 +72,7 @@ class TestLocalChangePolicy:
         doc = b.documents[DOC]
         assert len(doc.local_queue) == 3
         chain = doc.gor.path_revisions(doc.gor.root.hash, doc.own_head)
-        assert [r.hash for r in chain] == doc.local_queue
+        assert [r.hash for r in chain] == list(doc.local_queue)
 
     def test_merge_only_policy_always_publishes(self):
         sim, (a, b) = make_team(2, config=SyncConfig(policy=POLICY_MERGE_ONLY))
@@ -409,6 +409,20 @@ class TestUndecodableFrames:
         assert agents[0].head_graph(DOC) == frozenset().union(
             *(fresh_triples(f"t{i}", 2) for i in range(3)))
         assert all(ag.stats["undecodable"] > 100 for ag in agents)
+
+    def test_team_converges_beside_an_empty_frame_sender(self):
+        sim, agents = make_team(3)
+        sim.register("mallory", lambda src, frame, now: sim.send(b"", "mallory"))
+        sim.advance(8000)
+        for i, ag in enumerate(agents):
+            ag.local_change(DOC, Delta.of(fresh_triples(f"t{i}", 2), ()))
+        sim.advance(40_000)
+        assert converged(agents)
+        assert agents[0].head_graph(DOC) == frozenset().union(
+            *(fresh_triples(f"t{i}", 2) for i in range(3)))
+        for ag in agents:
+            empty = sum(src == "mallory" and dst == ag.name for _, src, dst, _, _ in sim.event_log)
+            assert empty > 0 and ag.stats["undecodable"] == empty
 
 
 class TestOutsideRevisions:

@@ -46,6 +46,16 @@ def test_broadcast_reaches_everyone_but_sender():
     assert len(inboxes["b"]) == 1 and len(inboxes["c"]) == 1 and inboxes["a"] == []
 
 
+def test_any_frame_is_delivered_and_logged():
+    sim, inboxes, register = make_sim()
+    register("a"), register("b")
+    for frame in (b"", b"\xff", FRAME):
+        sim.send(frame, "a", "b")
+    sim.advance(100)
+    assert [fr for _, _, fr in inboxes["b"]] == [b"", b"\xff", FRAME]
+    assert [row[3:] for row in sim.event_log] == [("?", 0), ("?", 1), ("ready", len(FRAME))]
+
+
 def test_causality_minimum_latency():
     sim, inboxes, register = make_sim(policy=LinkPolicy(("uniform", 3, 9)))
     register("a"), register("b")

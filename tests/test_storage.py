@@ -129,3 +129,17 @@ def test_local_flag_other_than_zero_or_one_rejected(tmp_path):
         else:
             assert not loaded.is_local(rev.hash)
     assert refused == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_record_with_trailing_bytes_rejected(tmp_path):
+    gor = GraphOfRevisions("doc:log")
+    rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), ts=1)
+    path = tmp_path / "doc.log"
+    save_document(gor, path)
+    blob = path.read_bytes()
+    # the header record comes first: kind byte, body length, body
+    size = int.from_bytes(blob[1:5], "big")
+    path.write_bytes(blob[:1] + (size + 1).to_bytes(4, "big") + blob[5:5 + size] + b"\0"
+                     + blob[5 + size:])
+    with pytest.raises(CorruptLog):
+        load_document(path)
