@@ -41,8 +41,10 @@ from .wire import AgentId, DataMsg, decode_frame, encode_frame
 POINTS_CLOUD = NS + "points_cloud"
 
 # Passes over every timed case in the merge and rebase fits; each case
-# keeps its fastest pass.
-TIMING_REPEATS = 3
+# keeps its fastest pass.  Merges run in sequence, so unlike the rebase
+# cases their order cannot be shuffled; more passes cut their noise.
+MERGE_TIMING_REPEATS = 5
+REBASE_TIMING_REPEATS = 3
 REBASE_CHANGE_COUNTS = (10, 20, 30, 40, 50)
 REBASE_MAX_REVISIONS = 40
 
@@ -154,7 +156,7 @@ def run_merge_scaling(out_dir, revisions: int = 200, triple_counts=(10, 100)) ->
     for n_triples in triple_counts:
         per_index: list[float] = []
         final_triples = 0
-        for _ in range(TIMING_REPEATS):
+        for _ in range(MERGE_TIMING_REPEATS):
             gor = GraphOfRevisions("doc:merge-scaling")
             base = make_revision(
                 b"\x01" * 16, 0, (ParentLink(ROOT_REVISION.hash, fresh_delta("base", 5)),)
@@ -248,7 +250,7 @@ def run_rebase_scaling(out_dir, seed: int = 1) -> dict:
     best: dict[tuple, float] = {}
     outcome: dict[tuple, tuple[int, int]] = {}
     order = random.Random(seed)
-    for rep in range(TIMING_REPEATS):
+    for rep in range(REBASE_TIMING_REPEATS):
         # Each pass times the cases in a fresh order, so slow drift of
         # the host spreads over all sizes instead of bending the curve.
         for case in order.sample(cases, len(cases)):

@@ -119,6 +119,7 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
     uri, head = "", b""
     revisions: dict[bytes, tuple] = {}
     triples: set[Triple] = set()
+    lines: dict = {}  # shared by every delta record, see delta_parse
 
     log = Reader(data)
     try:
@@ -139,7 +140,7 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
             elif kind == REC_DELTA:
                 parent = r.take(HASH_LEN)
                 child = r.take(HASH_LEN)
-                delta = delta_parse(r.take_prefixed("I").decode("utf-8"))
+                delta = delta_parse(r.take_prefixed("I").decode("utf-8"), lines)
                 if child not in revisions:
                     raise CorruptLog("delta record before its revision record")
                 revisions[child][4].append(ParentLink(parent, delta))

@@ -12,11 +12,14 @@ object kind, object value, datatype).  Code-point order of strings is
 the same as the byte order of their UTF-8 encodings, so the order is
 also the byte order of the encoded terms.
 
-A `Delta` caches its canonical text on the first `delta_serialize`
-call.  The cache is computed only from the triple sets, never taken
-from the text a delta was parsed from: that text may use PREFIX forms,
-extra whitespace or dots and any line order, and the revision hash must
-cover the canonical form.
+A `Delta` caches its canonical text.  The cache is computed from the
+triple sets on the first `delta_serialize` call, or taken from parsed
+text only when the strict matcher of `delta_parse` proves that text
+canonical.  Other text may use PREFIX forms, extra whitespace or dots
+and any line order, and the revision hash must cover the canonical
+form, so its delta serializes afresh.  A digest that matches the raw
+bytes of a text proves nothing here: whoever wrote the text can hash
+exactly those bytes.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ class Delta:
     sets ends up present.  Deltas computed from two graphs are always
     disjoint; combined deltas along re-insertion histories may overlap.
 
-    ``_text`` caches the canonical text; `delta_serialize` fills it.  It
-    takes no part in equality or hashing, and `dataclasses.replace`
-    does not copy it.
+    ``_text`` caches the canonical text.  `delta_serialize` fills it
+    from the triple sets; `delta_parse` fills it only from text that its
+    strict matcher proves canonical.  It takes no part in equality or
+    hashing, and `dataclasses.replace` does not copy it.
     """
 
     inserted: frozenset[Triple] = frozenset()
@@ -233,8 +237,7 @@ def _unexpected(text: str, toks: list[str], i: int) -> MalformedDelta:
     return MalformedDelta(f"{msg} at offset {pos}")
 
 
-def _literal_value(tok: str) -> str:
-    body = tok[1:-1]
+def _unescape(body: str) -> str:
     if "\\" in body:
         return _ESCAPE_SEQ.sub(lambda m: _UNESCAPES[m.group(1)], body)
     return body
@@ -262,16 +265,16 @@ def _parse_term(text: str, toks: list[str], i: int, prefixes: dict, terms: dict)
         if not dt:
             raise MalformedDelta("missing datatype after ^^")
         if _is_iri_ref(dt):
-            return Term(LITERAL, _literal_value(tok), dt[1:-1]), i + 3
+            return Term(LITERAL, _unescape(tok[1:-1]), dt[1:-1]), i + 3
         if _is_word(dt):
-            return Term(LITERAL, _literal_value(tok), _expand_pname(dt, prefixes)), i + 3
+            return Term(LITERAL, _unescape(tok[1:-1]), _expand_pname(dt, prefixes)), i + 3
         raise MalformedDelta("bad datatype")
     term = terms.get(tok)
     if term is None:
         if _is_iri_ref(tok):
             term = Term(IRI, tok[1:-1])
         elif _is_literal(tok):
-            term = Term(LITERAL, _literal_value(tok))
+            term = Term(LITERAL, _unescape(tok[1:-1]))
         elif _is_word(tok):
             term = Term(IRI, _expand_pname(tok, prefixes))
         else:
@@ -280,10 +283,8 @@ def _parse_term(text: str, toks: list[str], i: int, prefixes: dict, terms: dict)
     return term, i + 1
 
 
-def delta_parse(text: str) -> Delta:
-    """Parse the restricted update subset; inverse of delta_serialize on
-    its image.  PREFIX declarations are accepted and expanded.  Anything
-    else (WHERE clauses, bare INSERT, ...) raises MalformedDelta."""
+def _tokenize_parse(text: str) -> Delta:
+    """The general parser of `delta_parse`; fills no cache."""
     toks = _TOKEN.findall(text)
     toks.append("")  # end sentinel; no token is empty
     prefixes: dict[str, str] = {}
@@ -334,3 +335,81 @@ def delta_parse(text: str) -> Delta:
         raise MalformedDelta(f"disallowed construct: {toks[i]!r}")
 
     return Delta(frozenset(inserted), frozenset(removed))
+
+
+# One triple line of a canonical block, as `_block` writes it: full
+# IRIs, single spaces, and a literal whose only escapes are those of
+# _ESCAPES.  An IRI or a datatype is what `Term` accepts.
+_CANONICAL_LINE = re.compile(
+    r' <([^\s>]+)> <([^\s>]+)> '
+    r'(?:<([^\s>]+)>|"((?:[^"\\\n\r\t]|\\["\\nrt])*)"(?:\^\^<([^\s>]+)>)?)'
+)
+
+
+def _canonical_line(row: str) -> Optional[tuple]:
+    """(canonical_key, Triple) of a canonical triple line, else None."""
+    m = _CANONICAL_LINE.fullmatch(row)
+    if m is None:
+        return None
+    s, p, o, body, datatype = m.groups()
+    obj = Term(IRI, o) if o is not None else Term(LITERAL, _unescape(body), datatype)
+    t = Triple(Term(IRI, s), Term(IRI, p), obj)
+    return canonical_key(t), t
+
+
+def _canonical_delta(text: str, lines: dict) -> Optional[Delta]:
+    """The delta whose `delta_serialize` is exactly ``text``, with the
+    text as its cache; None for any other text.  Accepts only an
+    optional non-empty INSERT block, then an optional non-empty DELETE
+    block, each of canonical lines in strictly ascending canonical_key
+    order.  Lines are looked up in, and added to, ``lines``."""
+    rows = text.split("\n")
+    if rows.pop():
+        return None  # no final newline
+    sets = []
+    i = 0
+    for opener in ("INSERT DATA {", "DELETE DATA {"):
+        block = []
+        if i < len(rows) and rows[i] == opener:
+            try:
+                end = rows.index("}", i + 1)
+            except ValueError:
+                return None
+            last = None
+            for row in rows[i + 1:end]:
+                entry = lines.get(row)
+                if entry is None:
+                    entry = _canonical_line(row)
+                    if entry is None:
+                        return None
+                    lines[row] = entry
+                key, t = entry
+                if last is not None and key <= last:
+                    return None
+                last = key
+                block.append(t)
+            if not block:
+                return None
+            i = end + 1
+        sets.append(frozenset(block))
+    if i != len(rows):
+        return None
+    d = Delta(sets[0], sets[1])
+    object.__setattr__(d, "_text", text)
+    return d
+
+
+def delta_parse(text: str, lines: Optional[dict] = None) -> Delta:
+    """Parse the restricted update subset; inverse of delta_serialize on
+    its image.  PREFIX declarations are accepted and expanded.  Anything
+    else (WHERE clauses, bare INSERT, ...) raises MalformedDelta.
+
+    A strict matcher runs first.  It accepts only canonical text, which
+    is then byte for byte the `delta_serialize` of the result, so the
+    text becomes the delta's cache.  Any other text goes to the general
+    tokenizer, and its delta caches nothing.  ``lines`` maps each
+    canonical triple line seen so far to its (canonical_key, Triple):
+    calls that share one dict share the triples of their common lines.
+    """
+    d = _canonical_delta(text, {} if lines is None else lines)
+    return d if d is not None else _tokenize_parse(text)

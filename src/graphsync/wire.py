@@ -253,9 +253,10 @@ def decode_frame(raw: bytes):
         body.take_prefixed()  # signature
         n_parents = body.take(1)[0]
         links = []
+        lines: dict = {}  # shared by the frame's deltas, see delta_parse
         for _ in range(n_parents):
             parent = body.take(HASH_LEN)
-            delta = delta_parse(body.take_prefixed("I").decode("utf-8"))
+            delta = delta_parse(body.take_prefixed("I").decode("utf-8"), lines)
             links.append(ParentLink(parent, delta))
         body.done()
         return RevisionMsg(uri, verified_revision(digest, author, timestamp, links))

@@ -41,6 +41,21 @@ A_C = b"\xc0" * 16
 A_M = b"\x0a" * 16
 
 
+def raw_text_digest(author, timestamp, parent, text: bytes) -> bytes:
+    """The digest of a one-parent revision computed over delta text
+    bytes as they stand, not over their canonical form: what a hostile
+    author can claim for any text."""
+    inner = hashlib.sha512(text + parent).digest()
+    return hashlib.sha512(author + struct.pack(">q", timestamp) + inner).digest()
+
+
+def swap_first_lines(text: bytes) -> bytes:
+    """Canonical delta text with its first two triple lines swapped."""
+    rows = text.split(b"\n")
+    rows[1], rows[2] = rows[2], rows[1]
+    return b"\n".join(rows)
+
+
 def rev_on(gor, parent, delta, author=A_B, ts=1, local=False):
     r = make_revision(author, ts, (ParentLink(parent, delta),))
     gor.insert(r, local=local)

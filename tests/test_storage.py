@@ -3,11 +3,18 @@ from collections import Counter
 
 import pytest
 
-from graphsync.revisions import HASH_LEN, ROOT_REVISION, GraphOfRevisions, make_revision, ParentLink
+from graphsync.revisions import (
+    HASH_LEN,
+    ROOT_REVISION,
+    GraphOfRevisions,
+    ParentLink,
+    make_revision,
+    merge_revision,
+)
 from graphsync.storage import CorruptLog, load_document, save_document
-from graphsync.triples import Delta, literal, triple
+from graphsync.triples import Delta, canonical_delta_bytes, literal, triple
 
-from test_revisions import random_dag, rev_on, T
+from test_revisions import A_B, A_M, T, random_dag, raw_text_digest, rev_on, swap_first_lines
 
 
 def test_round_trip_linear_history(tmp_path):
@@ -63,6 +70,65 @@ def test_tampered_log_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptLog):
         load_document(path)
+
+
+def _log_with_swapped_lines(tmp_path, digest_raw_bytes):
+    """A saved one-revision log whose delta text has two lines swapped;
+    its revision claims either the canonical digest or one over the
+    swapped bytes as they stand."""
+    gor = GraphOfRevisions("doc:log")
+    delta = Delta.of({T[0], T[1], T[2]}, ())
+    rev = rev_on(gor, ROOT_REVISION.hash, delta, ts=1)
+    path = tmp_path / "doc.log"
+    save_document(gor, path)
+    canonical = canonical_delta_bytes(delta)
+    swapped = swap_first_lines(canonical)
+    blob = path.read_bytes()
+    assert blob.count(canonical) == 1
+    blob = blob.replace(canonical, swapped)
+    if digest_raw_bytes:
+        blob = blob.replace(rev.hash, raw_text_digest(A_B, 1, ROOT_REVISION.hash, swapped))
+    path.write_bytes(blob)
+    return gor, rev, path
+
+
+def test_non_canonical_text_with_canonical_digest_accepted(tmp_path):
+    gor, rev, path = _log_with_swapped_lines(tmp_path, digest_raw_bytes=False)
+    loaded, head = load_document(path)
+    assert head == rev.hash
+    assert loaded.materialize(head) == gor.materialize(rev.hash)
+
+
+def test_non_canonical_text_with_raw_bytes_digest_rejected(tmp_path):
+    _, _, path = _log_with_swapped_lines(tmp_path, digest_raw_bytes=True)
+    with pytest.raises(CorruptLog, match="revision rejected"):
+        load_document(path)
+
+
+def test_reload_shares_triples_and_keeps_canonical_text(tmp_path):
+    gor = GraphOfRevisions("doc:merges")
+    base = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), author=A_M, ts=0)
+    merged = rev_on(gor, base.hash, Delta.of({T[1]}, ())).hash
+    for k in range(2, 6):
+        nxt = rev_on(gor, base.hash, Delta.of({T[k]}, ()), author=bytes([k]) * 16).hash
+        merged = merge_revision(gor, merged, nxt, A_M, k).hash
+    path = tmp_path / "doc.log"
+    save_document(gor, path, head=merged)
+    loaded, _ = load_document(path)
+
+    links = [link for rev in loaded.revisions() for link in rev.parents]
+    assert len(links) == 1 + 5 + 2 * 4
+    assert all(link.delta._text is not None for link in links)
+    first_seen = {}
+    repeats = 0
+    for link in links:
+        for t in (*link.delta.inserted, *link.delta.removed):
+            if t in first_seen:
+                assert first_seen[t] is t
+                repeats += 1
+            else:
+                first_seen[t] = t
+    assert repeats > 0
 
 
 def test_truncated_log_rejected(tmp_path):

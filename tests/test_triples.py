@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from graphsync.triples import (
     literal,
     triple,
 )
+from graphsync.triples import _tokenize_parse
 
 T = [triple(f"urn:t:{i}", "urn:p", f"urn:o:{i}") for i in range(8)]
 
@@ -270,32 +272,39 @@ def _ref_term_key(t):
     return ({"iri": 0, "literal": 1}[t.kind], t.value.encode("utf-8"), (t.datatype or "").encode("utf-8"))
 
 
-def _ref_term_text(t):
+def _ref_term_text(t, escapes=_REF_ESCAPES):
     if t.kind == "iri":
         return f"<{t.value}>"
-    body = "".join(_REF_ESCAPES.get(c, c) for c in t.value)
+    body = "".join(escapes.get(c, c) for c in t.value)
     if t.datatype is not None:
         return f'"{body}"^^<{t.datatype}>'
     return f'"{body}"'
 
 
-def _ref_block(keyword, triples):
+def _ref_block(keyword, triples, escapes):
     ordered = sorted(
         triples, key=lambda t: tuple(_ref_term_key(x) for x in (t.subject, t.predicate, t.object))
     )
-    lines = [" " + " ".join(_ref_term_text(x) for x in (t.subject, t.predicate, t.object)) for t in ordered]
+    lines = [
+        " " + " ".join(_ref_term_text(x, escapes) for x in (t.subject, t.predicate, t.object))
+        for t in ordered
+    ]
     return keyword + " {\n" + "\n".join(lines) + "\n}"
+
+
+def _ref_text(inserted, removed, escapes=_REF_ESCAPES):
+    parts = []
+    if inserted:
+        parts.append(_ref_block("INSERT DATA", inserted, escapes))
+    if removed:
+        parts.append(_ref_block("DELETE DATA", removed, escapes))
+    return "\n".join(parts) + "\n" if parts else ""
 
 
 def reference_delta_bytes(d):
     """The codec's first serializer, kept as the reference: a byte-keyed
     sort and per-character escapes."""
-    parts = []
-    if d.inserted:
-        parts.append(_ref_block("INSERT DATA", d.inserted))
-    if d.removed:
-        parts.append(_ref_block("DELETE DATA", d.removed))
-    return ("\n".join(parts) + "\n" if parts else "").encode("utf-8")
+    return _ref_text(d.inserted, d.removed).encode("utf-8")
 
 
 NS = "http://ex.org/é/"
@@ -319,6 +328,20 @@ literal_terms = st.builds(literal, st.text(_LITERAL_CHARS, max_size=12), st.none
 triples_st = st.builds(Triple, iri_terms, iri_terms, iri_terms | literal_terms)
 deltas = st.builds(
     Delta.of, st.frozensets(triples_st, max_size=6), st.frozensets(triples_st, max_size=6)
+)
+
+# Contents the strict matcher must read exactly: '<' inside an IRI,
+# typed and non-ASCII literals, and every escaped character.
+_ODD_IRIS = st.sampled_from(["a<b", "<<x", "urn:\u00e9<\u00fc", NS + "a<b"])
+_odd_iri_terms = (iri_values | _ODD_IRIS).map(iri)
+_odd_literals = st.builds(
+    literal,
+    st.text(_LITERAL_CHARS, max_size=12) | st.sampled_from(["\u00e9", "\U0001F600 x", 'q"\\\t\r\n']),
+    st.none() | iri_values | _ODD_IRIS,
+)
+_odd_triples = st.builds(Triple, _odd_iri_terms, _odd_iri_terms, _odd_iri_terms | _odd_literals)
+odd_deltas = st.builds(
+    Delta.of, st.frozensets(_odd_triples, max_size=6), st.frozensets(_odd_triples, max_size=6)
 )
 
 
@@ -373,10 +396,13 @@ class TestCodecProperties:
     def test_canonical_bytes_match_reference(self, d):
         assert canonical_delta_bytes(d) == reference_delta_bytes(d)
 
-    @settings(max_examples=200, deadline=None)
-    @given(deltas)
+    @settings(max_examples=300, deadline=None)
+    @given(odd_deltas)
     def test_parse_inverts_serialize(self, d):
-        assert delta_parse(delta_serialize(d)) == d
+        text = delta_serialize(d)
+        parsed = delta_parse(text)
+        assert parsed == d
+        assert parsed._text is text  # the strict path keeps canonical text
 
     @settings(max_examples=200, deadline=None)
     @given(deltas, st.randoms(use_true_random=False))
@@ -436,3 +462,102 @@ class TestCanonicalTextCache:
     def test_codec_types_are_slotted(self):
         for obj in (self.D, triple("urn:s", "urn:p", "urn:o"), literal("x")):
             assert not hasattr(obj, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# The strict path of delta_parse: canonical text only, kept as the cache
+# ---------------------------------------------------------------------------
+
+def _line_pool(rows, at_least):
+    """Indexes of the triple lines, or of every line if too few."""
+    triple_rows = [i for i, row in enumerate(rows) if row.startswith(" ")]
+    return triple_rows if len(triple_rows) >= at_least else list(range(len(rows)))
+
+
+def _swap_lines(d, text, rng):
+    rows = text.split("\n")
+    i, j = rng.sample(_line_pool(rows, 2), 2) if len(rows) > 1 else (0, 0)
+    rows[i], rows[j] = rows[j], rows[i]
+    return "\n".join(rows)
+
+
+def _duplicate_line(d, text, rng):
+    rows = text.split("\n")
+    i = rng.choice(_line_pool(rows, 1))
+    return "\n".join(rows[:i + 1] + rows[i:])
+
+
+def _double_space(d, text, rng):
+    spaces = [i for i, c in enumerate(text) if c == " "]
+    if not spaces:
+        return text + " "
+    i = rng.choice(spaces)
+    return text[:i] + " " + text[i:]
+
+
+def _empty_block(d, text, rng):
+    return rng.choice(["INSERT DATA {\n}\n" + text, text + "DELETE DATA {\n}\n"])
+
+
+def _blocks_swapped(d, text, rng):
+    return _ref_text((), d.removed) + _ref_text(d.inserted, ())
+
+
+def _no_final_newline(d, text, rng):
+    return text[:-1]
+
+
+def _prefix_form(d, text, rng):
+    text = re.sub("<" + re.escape(NS) + r"([^\s>]*)>", r"ex:\1", text, count=rng.randrange(2))
+    return f"PREFIX ex: <{NS}>\n" + text
+
+
+def _raw_tab_or_cr(d, text, rng):
+    # Both are legal raw inside a literal, but canonical text escapes them.
+    raw = Triple(iri("urn:s"), iri("urn:p"), literal(rng.choice(["a\tb", "c\rd"])))
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
+    return _ref_text(d.inserted | {raw}, d.removed, escapes)
+
+
+MUTATIONS = [
+    _swap_lines, _duplicate_line, _double_space, _empty_block, _blocks_swapped,
+    _no_final_newline, _prefix_form, _raw_tab_or_cr,
+]
+
+
+class TestStrictPath:
+    @settings(max_examples=400, deadline=None)
+    @given(odd_deltas, st.sampled_from(MUTATIONS), st.randoms(use_true_random=False))
+    def test_mutated_text_parses_like_the_tokenizer(self, d, mutate, rng):
+        text = mutate(d, delta_serialize(d), rng)
+        try:
+            want = _tokenize_parse(text)
+        except ValueError:
+            want = None
+        try:
+            got = delta_parse(text)
+        except ValueError:
+            assert want is None
+            return
+        assert got == want
+        assert got._text is None or got._text == text
+        assert delta_serialize(got) == delta_serialize(Delta(got.inserted, got.removed))
+
+    @pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda f: f.__name__.strip("_"))
+    def test_each_mutation_leaves_the_strict_path(self, mutate):
+        d = Delta.of(
+            {triple(NS + "s", NS + "p", NS + "o"), Triple(iri("a<b"), iri(NS + "p"), literal("\u00e9", NS + "dt"))},
+            {Triple(iri(NS + "s"), iri("urn:p"), literal('x"\t'))},
+        )
+        text = mutate(d, delta_serialize(d), random.Random(3))
+        got = delta_parse(text)
+        assert got._text is None
+        assert got == _tokenize_parse(text)
+
+    def test_shared_lines_share_triples(self):
+        lines = {}
+        first = delta_parse(delta_serialize(Delta.of({T[0], T[1]})), lines)
+        second = delta_parse(delta_serialize(Delta.of({T[1], T[2]}, {T[0]})), lines)
+        seen = {t: t for t in first.inserted}
+        assert sum(seen.get(t) is t for t in second.inserted | second.removed) == 2
+        assert len(lines) == 3

@@ -9,7 +9,7 @@ from graphsync.revisions import (
     ParentLink,
     make_revision,
 )
-from graphsync.triples import Delta, triple
+from graphsync.triples import Delta, canonical_delta_bytes, triple
 from graphsync.wire import (
     AgentId,
     DataMsg,
@@ -28,6 +28,7 @@ from graphsync.wire import (
     encode_frame,
 )
 
+from test_revisions import raw_text_digest, swap_first_lines
 from test_triples import deltas
 
 ALICE = AgentId(b"\x01" * 16, "alice", b"pk-alice")
@@ -91,6 +92,51 @@ def test_merge_revision_two_parents_round_trip():
         ),
     )
     assert roundtrip(RevisionMsg("doc:m", rev)).revision == rev
+
+
+def test_merge_frame_links_share_triples():
+    shared = triple("urn:x", "urn:p", "urn:y")
+    rev = make_revision(
+        ALICE.uuid,
+        9,
+        (
+            ParentLink(b"\x0a" * 64, Delta.of({shared}, ())),
+            ParentLink(b"\x0b" * 64, Delta.of({shared, triple("urn:z", "urn:p", "urn:y")}, ())),
+        ),
+    )
+    first, second = (l.delta for l in roundtrip(RevisionMsg("doc:m", rev)).revision.parents)
+    (got,) = first.inserted
+    assert any(t is got for t in second.inserted)
+
+
+class TestNonCanonicalDeltaText:
+    """A frame may carry a delta text with its lines out of order.  The
+    digest covers the canonical text, so the revision is accepted under
+    its canonical digest and refused under a digest of the raw bytes."""
+
+    DELTA = Delta.of({triple("urn:a", "urn:p", f"urn:o:{i}") for i in range(3)}, ())
+
+    def frame_and_text(self):
+        rev = make_revision(ALICE.uuid, 5, (ParentLink(ROOT_REVISION.hash, self.DELTA),))
+        canonical = canonical_delta_bytes(self.DELTA)
+        swapped = swap_first_lines(canonical)
+        assert swapped != canonical
+        frame = encode_frame(RevisionMsg("doc:map", rev))
+        assert frame.count(canonical) == 1
+        return rev, frame.replace(canonical, swapped), swapped
+
+    def test_canonical_digest_accepted(self):
+        rev, frame, _ = self.frame_and_text()
+        back = decode_frame(frame).revision
+        assert back == rev
+        assert canonical_delta_bytes(back.parents[0].delta) == canonical_delta_bytes(self.DELTA)
+
+    def test_digest_of_raw_bytes_refused(self):
+        rev, frame, swapped = self.frame_and_text()
+        assert raw_text_digest(ALICE.uuid, 5, ROOT_REVISION.hash, canonical_delta_bytes(self.DELTA)) == rev.hash
+        hostile = raw_text_digest(ALICE.uuid, 5, ROOT_REVISION.hash, swapped)
+        with pytest.raises(HashMismatch):
+            decode_frame(frame.replace(rev.hash, hostile))
 
 
 def test_revision_frame_with_wrong_digest_rejected():
