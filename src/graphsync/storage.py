@@ -145,7 +145,9 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
                     raise CorruptLog("delta record before its revision record")
                 revisions[child][4].append(ParentLink(parent, delta))
             elif kind == REC_TRIPLE:
-                triples.add(Triple(_decode_term(r), _decode_term(r), _decode_term(r)))
+                # the same triple object as in the deltas, if they hold it
+                t = Triple(_decode_term(r), _decode_term(r), _decode_term(r))
+                triples.add(lines.get(t._line, t))
             else:
                 raise CorruptLog(f"unknown record kind {kind}")
             r.done()

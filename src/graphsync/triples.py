@@ -12,6 +12,11 @@ object kind, object value, datatype).  Code-point order of strings is
 the same as the byte order of their UTF-8 encodings, so the order is
 also the byte order of the encoded terms.
 
+Each `Triple` encodes itself once, when it is made: it keeps its sort
+key, its canonical text line and its hash.  So serializing a delta is a
+sort on the keys and a join of the lines, and a merge whose links carry
+triples that earlier deltas already wrote encodes none of them again.
+
 A `Delta` caches its canonical text.  The cache is computed from the
 triple sets on the first `delta_serialize` call, or taken from parsed
 text only when the strict matcher of `delta_parse` proves that text
@@ -25,6 +30,7 @@ exactly those bytes.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -75,17 +81,39 @@ def literal(value: str, datatype: Optional[str] = None) -> Term:
 
 @dataclass(frozen=True, slots=True)
 class Triple:
-    """(subject, predicate, object); subject and predicate are IRIs."""
+    """(subject, predicate, object); subject and predicate are IRIs.
+
+    A triple computes three caches once, when it is made: ``_key``, its
+    `canonical_key`; ``_line``, its line in a canonical block; and
+    ``_hash``, the hash of its three terms, which `__hash__` returns.
+    They take no part in equality, and `dataclasses.replace`, `copy` and
+    `pickle` build them afresh through the constructor.
+    """
 
     subject: Term
     predicate: Term
     object: Term
+    _key: tuple = field(init=False, compare=False, repr=False)
+    _line: str = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.subject.kind != IRI:
+        s, p, o = self.subject, self.predicate, self.object
+        if s.kind != IRI:
             raise ValueError("triple subject must be an IRI")
-        if self.predicate.kind != IRI:
+        if p.kind != IRI:
             raise ValueError("triple predicate must be an IRI")
+        key = (s.value, p.value, o.kind != IRI, o.value, o.datatype or "")
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_line", f" <{s.value}> <{p.value}> {_object_text(o)}")
+        object.__setattr__(self, "_hash", hash((s, p, o)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # A hash does not survive a process with another hash seed.
+        return Triple, (self.subject, self.predicate, self.object)
 
 
 def triple(s: str, p: str, o) -> Triple:
@@ -140,30 +168,29 @@ def delta_invert(d: Delta) -> Delta:
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_NEEDS_ESCAPE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
-def canonical_key(t: Triple) -> tuple:
-    """Sort key of the canonical triple order.  Subject and predicate
-    are always IRIs, and IRI objects sort before literals."""
-    o = t.object
-    return (t.subject.value, t.predicate.value, o.kind != IRI, o.value, o.datatype or "")
+# Sort key of the canonical triple order, (subject, predicate, object
+# is a literal, object value, datatype or ""): subject and predicate
+# are always IRIs, and IRI objects sort before literals.
+canonical_key = operator.attrgetter("_key")
 
 
 def _object_text(o: Term) -> str:
     if o.kind == IRI:
         return f"<{o.value}>"
-    body = o.value.translate(_ESCAPE_TABLE)
+    body = o.value
+    if _NEEDS_ESCAPE.search(body):
+        body = body.translate(_ESCAPE_TABLE)
     if o.datatype is not None:
         return f'"{body}"^^<{o.datatype}>'
     return f'"{body}"'
 
 
 def _block(keyword: str, triples: Iterable[Triple]) -> str:
-    lines = [
-        f" <{t.subject.value}> <{t.predicate.value}> {_object_text(t.object)}"
-        for t in sorted(triples, key=canonical_key)
-    ]
+    lines = [t._line for t in sorted(triples, key=canonical_key)]
     return keyword + " {\n" + "\n".join(lines) + "\n}"
 
 
@@ -346,15 +373,27 @@ _CANONICAL_LINE = re.compile(
 )
 
 
-def _canonical_line(row: str) -> Optional[tuple]:
-    """(canonical_key, Triple) of a canonical triple line, else None."""
+def _shared_iri(value: str, lines: dict) -> Term:
+    term = lines.get(value)
+    if term is None:
+        term = lines[value] = Term(IRI, value)
+    return term
+
+
+def _canonical_line(row: str, lines: dict) -> Optional[Triple]:
+    """The Triple of a canonical triple line, else None.  Its IRI terms
+    are shared through ``lines``, keyed by IRI value: an IRI holds no
+    whitespace, so its key never clashes with a line, which starts with
+    a space."""
     m = _CANONICAL_LINE.fullmatch(row)
     if m is None:
         return None
     s, p, o, body, datatype = m.groups()
-    obj = Term(IRI, o) if o is not None else Term(LITERAL, _unescape(body), datatype)
-    t = Triple(Term(IRI, s), Term(IRI, p), obj)
-    return canonical_key(t), t
+    if o is not None:
+        obj = _shared_iri(o, lines)
+    else:
+        obj = Term(LITERAL, _unescape(body), datatype)
+    return Triple(_shared_iri(s, lines), _shared_iri(p, lines), obj)
 
 
 def _canonical_delta(text: str, lines: dict) -> Optional[Delta]:
@@ -362,7 +401,8 @@ def _canonical_delta(text: str, lines: dict) -> Optional[Delta]:
     text as its cache; None for any other text.  Accepts only an
     optional non-empty INSERT block, then an optional non-empty DELETE
     block, each of canonical lines in strictly ascending canonical_key
-    order.  Lines are looked up in, and added to, ``lines``."""
+    order.  Lines are looked up in, and added to, ``lines``, which maps
+    each line to its Triple."""
     rows = text.split("\n")
     if rows.pop():
         return None  # no final newline
@@ -377,13 +417,13 @@ def _canonical_delta(text: str, lines: dict) -> Optional[Delta]:
                 return None
             last = None
             for row in rows[i + 1:end]:
-                entry = lines.get(row)
-                if entry is None:
-                    entry = _canonical_line(row)
-                    if entry is None:
+                t = lines.get(row)
+                if t is None:
+                    t = _canonical_line(row, lines)
+                    if t is None:
                         return None
-                    lines[row] = entry
-                key, t = entry
+                    lines[row] = t
+                key = t._key
                 if last is not None and key <= last:
                     return None
                 last = key
@@ -408,8 +448,9 @@ def delta_parse(text: str, lines: Optional[dict] = None) -> Delta:
     is then byte for byte the `delta_serialize` of the result, so the
     text becomes the delta's cache.  Any other text goes to the general
     tokenizer, and its delta caches nothing.  ``lines`` maps each
-    canonical triple line seen so far to its (canonical_key, Triple):
-    calls that share one dict share the triples of their common lines.
+    canonical triple line seen so far to its Triple, and each IRI to its
+    Term: calls that share one dict share the triples of their common
+    lines and the terms of their common IRIs.
     """
     d = _canonical_delta(text, {} if lines is None else lines)
     return d if d is not None else _tokenize_parse(text)

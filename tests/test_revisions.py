@@ -27,11 +27,13 @@ from graphsync.revisions import (
     squash,
     verified_revision,
 )
+from graphsync import triples
 from graphsync.triples import (
     Delta,
     canonical_delta_bytes,
     delta_apply,
     delta_compute,
+    literal,
     triple,
 )
 
@@ -411,6 +413,28 @@ class TestMerge:
         m = merge_revision(gor, g1.hash, g2.hash, A_M, 2)
         assert T[0] not in gor.materialize(m.hash)
         assert gor.materialize(m.hash) == {T[1], T[2]}
+
+    def test_merges_of_known_triples_encode_none_again(self, monkeypatch):
+        """A triple writes its canonical line when it is made, so merges
+        whose links carry existing triples never call _object_text."""
+        gor = GraphOfRevisions("doc:x")
+        base = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), author=A_M, ts=0)
+        heads = []
+        for k in range(1, 6):
+            d = Delta.of({T[k], triple(f"urn:s:{k}", "urn:p", literal(f'"{k}"\t'))})
+            heads.append(rev_on(gor, base.hash, d, author=bytes([k]) * 16).hash)
+        calls = []
+        encode = triples._object_text
+        monkeypatch.setattr(triples, "_object_text", lambda o: calls.append(o) or encode(o))
+        merged = heads[0]
+        for k, nxt in enumerate(heads[1:], start=2):
+            m = merge_revision(gor, merged, nxt, A_M, k)
+            assert all(link.delta._text is not None for link in m.parents)
+            merged = m.hash
+        assert len(gor.materialize(merged)) == 1 + 2 * 5
+        assert calls == []
+        triple("urn:s:new", "urn:p", "urn:o:new")  # the patch is live
+        assert len(calls) == 1
 
     def test_100_random_splits_against_set_formula_oracle(self):
         rng = random.Random(43)

@@ -12,7 +12,7 @@ from graphsync.revisions import (
     merge_revision,
 )
 from graphsync.storage import CorruptLog, load_document, save_document
-from graphsync.triples import Delta, canonical_delta_bytes, literal, triple
+from graphsync.triples import Delta, Triple, canonical_delta_bytes, literal, triple
 
 from test_revisions import A_B, A_M, T, random_dag, raw_text_digest, rev_on, swap_first_lines
 
@@ -129,6 +129,32 @@ def test_reload_shares_triples_and_keeps_canonical_text(tmp_path):
             else:
                 first_seen[t] = t
     assert repeats > 0
+
+
+def test_reload_head_triples_are_the_delta_triples(tmp_path, monkeypatch):
+    """Each head-graph triple record resolves to the triple object the
+    deltas hold.  The reload's head check then matches every member by
+    identity and calls Triple.__eq__ for none; a member that is only an
+    equal copy would cost one call."""
+    gor = GraphOfRevisions("doc:head")
+    base = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), author=A_M, ts=0)
+    merged = rev_on(gor, base.hash, Delta.of({T[1]}, ())).hash
+    for k in range(2, 6):
+        d = Delta.of({T[k], triple(f"urn:s:{k}", "urn:p", literal(f"v\n{k}", "urn:dt"))}, ())
+        nxt = rev_on(gor, base.hash, d, author=bytes([k]) * 16).hash
+        merged = merge_revision(gor, merged, nxt, A_M, k).hash
+    path = tmp_path / "doc.log"
+    save_document(gor, path, head=merged)
+
+    eq_calls = []
+    eq = Triple.__eq__
+    monkeypatch.setattr(Triple, "__eq__", lambda a, b: eq_calls.append(a) or eq(a, b))
+    loaded, head = load_document(path)
+    assert eq_calls == []
+    graph = loaded.materialize(head)
+    assert len(graph) == 2 + 2 * 4
+    copies = frozenset(Triple(t.subject, t.predicate, t.object) for t in graph)
+    assert copies == graph and len(eq_calls) == len(graph)
 
 
 def test_truncated_log_rejected(tmp_path):

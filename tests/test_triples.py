@@ -1,11 +1,17 @@
+import copy
 import dataclasses
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsync.triples
 from graphsync.revisions import ROOT_REVISION, ParentLink, revision_hash
 from graphsync.triples import (
     Delta,
@@ -13,6 +19,7 @@ from graphsync.triples import (
     Term,
     Triple,
     canonical_delta_bytes,
+    canonical_key,
     delta_apply,
     delta_compute,
     delta_invert,
@@ -434,6 +441,51 @@ class TestCodecProperties:
         assert 0 < parsed < len(variants)
 
 
+def _cached(t):
+    return t._key, t._line, t._hash
+
+
+class TestTripleCaches:
+    """Each Triple keeps its sort key, canonical line and hash."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(odd_deltas)
+    def test_caches_match_the_terms(self, d):
+        for t in d.inserted | d.removed:
+            s, p, o = t.subject, t.predicate, t.object
+            assert t._line == " " + " ".join(_ref_term_text(x) for x in (s, p, o))
+            assert canonical_key(t) == (s.value, p.value, o.kind != "iri", o.value, o.datatype or "")
+            assert hash(t) == hash((s, p, o))
+            twins = [dataclasses.replace(t), copy.copy(t), copy.deepcopy(t),
+                     pickle.loads(pickle.dumps(t))]
+            for twin in twins:
+                assert twin == t and _cached(twin) == _cached(t)
+            moved = dataclasses.replace(t, object=literal("moved"))
+            assert _cached(moved) == _cached(Triple(s, p, literal("moved")))
+            stale = copy.copy(t)
+            for name in ("_key", "_line", "_hash"):
+                object.__setattr__(stale, name, None)
+            assert stale == t and not stale != t
+
+    def test_unpickled_triple_hashes_under_this_hash_seed(self):
+        """A pickle carries the terms only, so a triple pickled in a
+        process with another hash seed still finds itself in a set."""
+        t = Triple(iri("urn:s"), iri("urn:p"), literal("v", "urn:dt"))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = os.path.dirname(os.path.dirname(graphsync.triples.__file__))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        blob = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys; from graphsync.triples import Triple, iri, literal; "
+             "sys.stdout.buffer.write(pickle.dumps("
+             "Triple(iri('urn:s'), iri('urn:p'), literal('v', 'urn:dt'))))"],
+            env=env, capture_output=True, check=True,
+        ).stdout
+        back = pickle.loads(blob)
+        assert _cached(back) == _cached(t)
+        assert back in {t}
+
+
 class TestCanonicalTextCache:
     TEXT = f"PREFIX ex: <{NS}>\nDELETE DATA {{ ex:b ex:p \"y\" . }}\ninsert data {{ ex:a  ex:p ex:o . }}"
     D = Delta.of({triple(NS + "a", NS + "p", NS + "o")}, {Triple(iri(NS + "b"), iri(NS + "p"), literal("y"))})
@@ -554,10 +606,26 @@ class TestStrictPath:
         assert got._text is None
         assert got == _tokenize_parse(text)
 
+    def test_parsed_iris_share_terms(self):
+        """One Term per IRI: within a delta, and across deltas parsed
+        with one lines table."""
+        def text(*objects):
+            return delta_serialize(Delta.of({triple("urn:s", "urn:p", o) for o in objects}))
+
+        d = delta_parse(text("urn:o:0", "urn:o:1", "urn:o:2"))
+        assert len({id(x) for t in d.inserted for x in (t.subject, t.predicate, t.object)}) == 5
+        lines = {}
+        first = delta_parse(text("urn:o:0", "urn:o:1"), lines)
+        (second,) = delta_parse(text("urn:o:9"), lines).inserted
+        assert all(t.subject is second.subject and t.predicate is second.predicate
+                   for t in first.inserted)
+
     def test_shared_lines_share_triples(self):
         lines = {}
         first = delta_parse(delta_serialize(Delta.of({T[0], T[1]})), lines)
         second = delta_parse(delta_serialize(Delta.of({T[1], T[2]}, {T[0]})), lines)
         seen = {t: t for t in first.inserted}
         assert sum(seen.get(t) is t for t in second.inserted | second.removed) == 2
-        assert len(lines) == 3
+        # three lines, and the seven IRIs urn:t:0-2, urn:p and urn:o:0-2
+        assert sum(key.startswith(" ") for key in lines) == 3
+        assert len(lines) == 3 + 7
