@@ -374,17 +374,18 @@ _CANONICAL_LINE = re.compile(
 
 
 def _shared_iri(value: str, lines: dict) -> Term:
-    term = lines.get(value)
+    # Keyed by a newline and the value: a row of delta text holds no
+    # newline, so no row, canonical or not, finds an IRI's entry.
+    key = "\n" + value
+    term = lines.get(key)
     if term is None:
-        term = lines[value] = Term(IRI, value)
+        term = lines[key] = Term(IRI, value)
     return term
 
 
 def _canonical_line(row: str, lines: dict) -> Optional[Triple]:
     """The Triple of a canonical triple line, else None.  Its IRI terms
-    are shared through ``lines``, keyed by IRI value: an IRI holds no
-    whitespace, so its key never clashes with a line, which starts with
-    a space."""
+    are shared through ``lines`` (see `_shared_iri`)."""
     m = _CANONICAL_LINE.fullmatch(row)
     if m is None:
         return None
@@ -401,8 +402,8 @@ def _canonical_delta(text: str, lines: dict) -> Optional[Delta]:
     text as its cache; None for any other text.  Accepts only an
     optional non-empty INSERT block, then an optional non-empty DELETE
     block, each of canonical lines in strictly ascending canonical_key
-    order.  Lines are looked up in, and added to, ``lines``, which maps
-    each line to its Triple."""
+    order.  Rows are looked up in, and lines added to, ``lines``, which
+    maps each line to its Triple; no row reaches its IRI entries."""
     rows = text.split("\n")
     if rows.pop():
         return None  # no final newline
@@ -448,9 +449,10 @@ def delta_parse(text: str, lines: Optional[dict] = None) -> Delta:
     is then byte for byte the `delta_serialize` of the result, so the
     text becomes the delta's cache.  Any other text goes to the general
     tokenizer, and its delta caches nothing.  ``lines`` maps each
-    canonical triple line seen so far to its Triple, and each IRI to its
-    Term: calls that share one dict share the triples of their common
-    lines and the terms of their common IRIs.
+    canonical triple line seen so far to its Triple, and each IRI, under
+    a key no line of text can equal, to its Term: calls that share one
+    dict share the triples of their common lines and the terms of their
+    common IRIs.
     """
     d = _canonical_delta(text, {} if lines is None else lines)
     return d if d is not None else _tokenize_parse(text)

@@ -11,8 +11,9 @@ from graphsync.revisions import (
     make_revision,
     merge_revision,
 )
-from graphsync.storage import CorruptLog, load_document, save_document
+from graphsync.storage import REC_DELTA, CorruptLog, load_document, save_document
 from graphsync.triples import Delta, Triple, canonical_delta_bytes, literal, triple
+from graphsync.wire import pack
 
 from test_revisions import A_B, A_M, T, random_dag, raw_text_digest, rev_on, swap_first_lines
 
@@ -155,6 +156,26 @@ def test_reload_head_triples_are_the_delta_triples(tmp_path, monkeypatch):
     assert len(graph) == 2 + 2 * 4
     copies = frozenset(Triple(t.subject, t.predicate, t.object) for t in graph)
     assert copies == graph and len(eq_calls) == len(graph)
+
+
+def test_delta_row_equal_to_an_iri_fails_as_corrupt_log(tmp_path):
+    """The second delta record has a row equal to an IRI of the first."""
+    gor = GraphOfRevisions("doc:log")
+    base = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), ts=1)
+    second = Delta.of({T[1]}, ())
+    rev = rev_on(gor, base.hash, second, ts=2)
+    path = tmp_path / "doc.log"
+    save_document(gor, path)
+
+    def record(text):
+        return bytes([REC_DELTA]) + pack(base.hash + rev.hash + pack(text, "I"), "I")
+
+    blob = path.read_bytes()
+    assert blob.count(record(canonical_delta_bytes(second))) == 1
+    path.write_bytes(blob.replace(record(canonical_delta_bytes(second)),
+                                  record(b"INSERT DATA {\nurn:p\n}\n")))
+    with pytest.raises(CorruptLog):
+        load_document(path)
 
 
 def test_truncated_log_rejected(tmp_path):

@@ -620,6 +620,17 @@ class TestStrictPath:
         assert all(t.subject is second.subject and t.predicate is second.predicate
                    for t in first.inserted)
 
+    def test_row_equal_to_an_iri_is_malformed(self):
+        """A row that equals an IRI parsed before it, in the same text or
+        in an earlier one with the same lines table, is no triple line."""
+        with pytest.raises(MalformedDelta):
+            delta_parse("INSERT DATA {\n <urn:s> <urn:p> <urn:o>\nurn:s\n}\n")
+        lines = {}
+        delta_parse(delta_serialize(Delta.of({triple("urn:s", "urn:p", "urn:o")})), lines)
+        for row in ("urn:s", "urn:p", "urn:o"):
+            with pytest.raises(MalformedDelta):
+                delta_parse(f"INSERT DATA {{\n{row}\n}}\n", lines)
+
     def test_shared_lines_share_triples(self):
         lines = {}
         first = delta_parse(delta_serialize(Delta.of({T[0], T[1]})), lines)

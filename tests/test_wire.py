@@ -26,6 +26,7 @@ from graphsync.wire import (
     VoteMsg,
     decode_frame,
     encode_frame,
+    pack,
 )
 
 from test_revisions import raw_text_digest, swap_first_lines
@@ -107,6 +108,19 @@ def test_merge_frame_links_share_triples():
     first, second = (l.delta for l in roundtrip(RevisionMsg("doc:m", rev)).revision.parents)
     (got,) = first.inserted
     assert any(t is got for t in second.inserted)
+
+
+def test_merge_frame_row_equal_to_an_iri_is_a_value_error():
+    """The second link's text has a row equal to an IRI of the first."""
+    first = Delta.of({triple("urn:s", "urn:p", "urn:o")}, ())
+    second = Delta.of({triple("urn:s", "urn:p", "urn:o:2")}, ())
+    rev = make_revision(ALICE.uuid, 9, (ParentLink(b"\x0a" * 64, first), ParentLink(b"\x0b" * 64, second)))
+    frame = encode_frame(RevisionMsg("doc:m", rev))
+    text = canonical_delta_bytes(second)
+    hostile = b"INSERT DATA {\nurn:s\n}\n"
+    assert frame.count(pack(text, "I")) == 1
+    with pytest.raises(ValueError):
+        decode_frame(frame.replace(pack(text, "I"), pack(hostile, "I")))
 
 
 class TestNonCanonicalDeltaText:
