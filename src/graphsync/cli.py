@@ -6,7 +6,7 @@
     graphsync scenario <FILE> [--out PATH]
 
 Exit status is nonzero when a run violates its invariants or a
-verification check fails.
+verification check fails; a scenario file that does not parse exits 2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import experiments
-from .netsim import parse_scenario
+from .netsim import ScenarioError, parse_scenario
 
 EXPERIMENTS = (
     "merge-scaling",
@@ -98,7 +98,12 @@ def _verify(args) -> int:
 
 def _scenario(args) -> int:
     with open(args.file) as fh:
-        scenario = parse_scenario(fh.read())
+        text = fh.read()
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioError as exc:
+        print(f"graphsync scenario: {args.file}: {exc}", file=sys.stderr)
+        return 2
     res = experiments.run_scenario(scenario, args.out)
     print(f"scenario: {len(res['agents'])} agents, documents {res['documents']}")
     return 0

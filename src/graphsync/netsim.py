@@ -22,8 +22,9 @@ from .wire import KIND_NAMES
 
 @dataclass(frozen=True)
 class LinkPolicy:
-    """Per-frame link behaviour.  latency is ("fixed", ms) or
-    ("uniform", lo_ms, hi_ms); probabilities are in [0, 1]."""
+    """Per-frame link behaviour.  latency is ("fixed", ms) with ms >= 0
+    or ("uniform", lo_ms, hi_ms) with 0 <= lo_ms <= hi_ms, all ints;
+    probabilities are in [0, 1]."""
 
     latency: tuple = ("fixed", 5)
     loss: float = 0.0
@@ -34,13 +35,20 @@ class LinkPolicy:
         for p in (self.loss, self.duplication, self.reorder):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be within [0, 1]")
-        if self.latency[0] not in ("fixed", "uniform"):
-            raise ValueError(f"unknown latency distribution {self.latency[0]!r}")
+        kind, *bounds = self.latency
+        if kind not in ("fixed", "uniform"):
+            raise ValueError(f"unknown latency distribution {kind!r}")
+        if (
+            len(bounds) != (1 if kind == "fixed" else 2)
+            or not all(isinstance(ms, int) for ms in bounds)
+            or not 0 <= bounds[0] <= bounds[-1]
+        ):
+            raise ValueError(f"latency {self.latency!r} cannot be drawn")
 
     def draw_latency(self, rng: random.Random) -> int:
         if self.latency[0] == "fixed":
-            return int(self.latency[1])
-        return rng.randint(int(self.latency[1]), int(self.latency[2]))
+            return self.latency[1]
+        return rng.randint(self.latency[1], self.latency[2])
 
 
 @dataclass
@@ -329,6 +337,8 @@ def parse_scenario(text: str) -> Scenario:
                 reorder = float(args[0])
             elif key == "status-period":
                 sc.status_period = int(args[0])
+                if sc.status_period <= 0:
+                    raise ScenarioError(f"line {lineno}: status-period must be positive")
             elif key == "partition":
                 sc.partitions.append((int(args[0]), int(args[1])))
             elif key == "offline":
@@ -352,5 +362,14 @@ def parse_scenario(text: str) -> Scenario:
             if isinstance(exc, ScenarioError):
                 raise
             raise ScenarioError(f"line {lineno}: malformed {key!r} entry") from exc
-    sc.policy = LinkPolicy(latency, loss, dup, reorder)
+    try:
+        sc.policy = LinkPolicy(latency, loss, dup, reorder)
+    except ValueError as exc:
+        raise ScenarioError(f"bad link policy: {exc}") from exc
+    named = [e.agent for e in sc.edits] + [a for b in sc.blocks for a in b[:2]]
+    for tr in sc.transfers:
+        named += [tr.sender, *tr.receivers]
+    unknown = sorted(set(named) - set(sc.agents))
+    if unknown:
+        raise ScenarioError(f"undeclared agents: {', '.join(unknown)}")
     return sc

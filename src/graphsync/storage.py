@@ -4,10 +4,12 @@ Three record kinds mirror the storage layout of the in-memory model:
 triple records for the head graph, revision records for the metadata,
 and delta records for the parent edges.  A record is a kind byte and an
 `I`-prefixed body, made and read with `wire.pack` and `wire.Reader`;
-reloading rebuilds the graph of revisions, re-verifies every revision
-hash and cross-checks the head materialization against the stored
-triples.  A revision record's signature field is written empty and
-skipped on read.
+reloading rebuilds the graph of revisions and re-verifies every revision
+hash.  A triple record is not decoded on reload: the set of record
+bodies must equal the set of re-encoded triples of the head
+materialization, in any order.  The term encoding is injective, so
+bytes equal exactly when triples do.  A revision record's signature
+field is written empty and skipped on read.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ REC_REVISION = 2
 REC_DELTA = 3
 
 _KIND_BYTE = {IRI: 0, LITERAL: 1}
-_BYTE_KIND = {0: IRI, 1: LITERAL}
 
 
 class CorruptLog(ValueError):
@@ -46,11 +47,8 @@ def _encode_term(t: Term) -> bytes:
     )
 
 
-def _decode_term(r: Reader) -> Term:
-    kind = _BYTE_KIND[r.take(1)[0]]
-    value = r.take_prefixed("I").decode("utf-8")
-    datatype = r.take_prefixed("I").decode("utf-8") or None
-    return Term(kind, value, datatype)
+def _encode_triple(t: Triple) -> bytes:
+    return _encode_term(t.subject) + _encode_term(t.predicate) + _encode_term(t.object)
 
 
 def _write_record(fh: BinaryIO, kind: int, body: bytes) -> None:
@@ -82,11 +80,7 @@ def save_document(gor: GraphOfRevisions, path, head: bytes | None = None) -> Non
                     fh, REC_DELTA, link.parent + rev.hash + pack(delta_text, "I")
                 )
         for t in sorted(gor.materialize(head), key=canonical_key):
-            _write_record(
-                fh,
-                REC_TRIPLE,
-                _encode_term(t.subject) + _encode_term(t.predicate) + _encode_term(t.object),
-            )
+            _write_record(fh, REC_TRIPLE, _encode_triple(t))
 
 
 def _topo_order(gor: GraphOfRevisions) -> list[Revision]:
@@ -118,14 +112,18 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
 
     uri, head = "", b""
     revisions: dict[bytes, tuple] = {}
-    triples: set[Triple] = set()
+    head_records: set[bytes] = set()
     lines: dict = {}  # shared by every delta record, see delta_parse
 
     log = Reader(data)
     try:
         while log.pos < len(data):
             kind = log.take(1)[0]
-            r = Reader(log.take_prefixed("I"))
+            body = log.take_prefixed("I")
+            if kind == REC_TRIPLE:
+                head_records.add(body)
+                continue
+            r = Reader(body)
             if kind == REC_HEADER:
                 uri = r.take_prefixed("I").decode("utf-8")
                 head = r.take(HASH_LEN)
@@ -144,17 +142,13 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
                 if child not in revisions:
                     raise CorruptLog("delta record before its revision record")
                 revisions[child][4].append(ParentLink(parent, delta))
-            elif kind == REC_TRIPLE:
-                # the same triple object as in the deltas, if they hold it
-                t = Triple(_decode_term(r), _decode_term(r), _decode_term(r))
-                triples.add(lines.get(t._line, t))
             else:
                 raise CorruptLog(f"unknown record kind {kind}")
             r.done()
     except CorruptLog:
         raise
     except (ValueError, KeyError, struct.error) as exc:
-        # a damaged byte: bad record length, UTF-8, delta text or term kind
+        # a damaged byte: bad record length, UTF-8 or delta text
         raise CorruptLog(f"undecodable record: {exc!r}") from exc
 
     gor = GraphOfRevisions(uri)
@@ -170,6 +164,6 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
         raise CorruptLog("log references unknown parents")
     if head not in gor:
         raise CorruptLog("head revision missing")
-    if gor.materialize(head) != frozenset(triples):
+    if {_encode_triple(t) for t in gor.materialize(head)} != head_records:
         raise CorruptLog("head graph does not match stored triples")
     return gor, head

@@ -279,9 +279,8 @@ def _expand_pname(word: str, prefixes: dict) -> str:
     return prefixes[pfx] + local
 
 
-def _parse_term(text: str, toks: list[str], i: int, prefixes: dict, terms: dict) -> tuple[Term, int]:
-    """The term starting at toks[i] and the index after it.  Terms
-    without a datatype are shared through ``terms``, keyed by token."""
+def _parse_term(text: str, toks: list[str], i: int, prefixes: dict) -> tuple[Term, int]:
+    """The term starting at toks[i] and the index after it."""
     tok = toks[i]
     if not tok:
         raise _unexpected(text, toks, i)
@@ -296,18 +295,13 @@ def _parse_term(text: str, toks: list[str], i: int, prefixes: dict, terms: dict)
         if _is_word(dt):
             return Term(LITERAL, _unescape(tok[1:-1]), _expand_pname(dt, prefixes)), i + 3
         raise MalformedDelta("bad datatype")
-    term = terms.get(tok)
-    if term is None:
-        if _is_iri_ref(tok):
-            term = Term(IRI, tok[1:-1])
-        elif _is_literal(tok):
-            term = Term(LITERAL, _unescape(tok[1:-1]))
-        elif _is_word(tok):
-            term = Term(IRI, _expand_pname(tok, prefixes))
-        else:
-            raise _unexpected(text, toks, i)
-        terms[tok] = term
-    return term, i + 1
+    if _is_iri_ref(tok):
+        return Term(IRI, tok[1:-1]), i + 1
+    if _is_literal(tok):
+        return Term(LITERAL, _unescape(tok[1:-1])), i + 1
+    if _is_word(tok):
+        return Term(IRI, _expand_pname(tok, prefixes)), i + 1
+    raise _unexpected(text, toks, i)
 
 
 def _tokenize_parse(text: str) -> Delta:
@@ -315,7 +309,6 @@ def _tokenize_parse(text: str) -> Delta:
     toks = _TOKEN.findall(text)
     toks.append("")  # end sentinel; no token is empty
     prefixes: dict[str, str] = {}
-    terms: dict[str, Term] = {}
     inserted: set[Triple] = set()
     removed: set[Triple] = set()
 
@@ -332,7 +325,6 @@ def _tokenize_parse(text: str) -> Delta:
             if not _is_iri_ref(target):
                 raise MalformedDelta("malformed PREFIX declaration")
             prefixes[name[:-1]] = target[1:-1]
-            terms.clear()  # prefixed names may now expand differently
             i += 3
             continue
         if word in ("INSERT", "DELETE"):
@@ -352,9 +344,9 @@ def _tokenize_parse(text: str) -> Delta:
                     continue
                 if not tok:
                     raise MalformedDelta("unterminated block")
-                s, i = _parse_term(text, toks, i, prefixes, terms)
-                p, i = _parse_term(text, toks, i, prefixes, terms)
-                o, i = _parse_term(text, toks, i, prefixes, terms)
+                s, i = _parse_term(text, toks, i, prefixes)
+                p, i = _parse_term(text, toks, i, prefixes)
+                o, i = _parse_term(text, toks, i, prefixes)
                 if s.kind != IRI or p.kind != IRI:
                     raise MalformedDelta("subject and predicate must be IRIs")
                 target.add(Triple(s, p, o))

@@ -161,3 +161,12 @@ class TestCli:
         assert rc == 0
         rc = main(["verify", str(tmp_path / "out")])
         assert rc == 0
+
+    def test_scenario_command_bad_file(self, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text("agent a0\nlatency weird 5\n")
+        rc = main(["scenario", str(scn), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 2" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()

@@ -169,6 +169,12 @@ def test_policy_validation():
         LinkPolicy(("fixed", 5), loss=1.5)
     with pytest.raises(ValueError):
         LinkPolicy(("weird", 5))
+    for latency in (("fixed", -5), ("fixed",), ("fixed", 2.5), ("uniform", 8, 2),
+                    ("uniform", -1, 3), ("uniform", 2)):
+        with pytest.raises(ValueError):
+            LinkPolicy(latency)
+    LinkPolicy(("fixed", 0))
+    LinkPolicy(("uniform", 4, 4))
 
 
 SCENARIO = """
@@ -215,3 +221,20 @@ def test_parse_scenario_errors():
         parse_scenario("latency weird 5")
     with pytest.raises(ScenarioError):
         parse_scenario("edit a0 doc:map notanumber 3")
+    bad = [
+        "latency uniform 8 2",
+        "latency fixed -5",
+        "loss 1.5",
+        "status-period 0",
+        "status-period -10",
+        "agent a\nedit c doc:x 200 1",
+        "agent a\nblock a c 0 10",
+        "agent a\ntransfer a a,c ds:x 0 64 128",
+        "agent a\ntransfer c a ds:x 0 64 128",
+    ]
+    for text in bad:
+        with pytest.raises(ScenarioError):
+            parse_scenario(text)
+    # agent lines may come after the lines that name the agent
+    sc = parse_scenario("edit c doc:x 200 1\nblock a c 0 10\nagent a\nagent c")
+    assert sc.agents == ["a", "c"]

@@ -11,9 +11,17 @@ from graphsync.revisions import (
     make_revision,
     merge_revision,
 )
-from graphsync.storage import REC_DELTA, CorruptLog, load_document, save_document
-from graphsync.triples import Delta, Triple, canonical_delta_bytes, literal, triple
-from graphsync.wire import pack
+from graphsync.storage import (
+    REC_DELTA,
+    REC_TRIPLE,
+    CorruptLog,
+    _encode_term,
+    _encode_triple,
+    load_document,
+    save_document,
+)
+from graphsync.triples import Delta, canonical_delta_bytes, literal, triple
+from graphsync.wire import Reader, pack
 
 from test_revisions import A_B, A_M, T, random_dag, raw_text_digest, rev_on, swap_first_lines
 
@@ -44,6 +52,9 @@ def test_round_trip_random_dags(tmp_path):
         for rev in gor.revisions():
             if not rev.is_root:
                 assert rev.hash in loaded
+        again = tmp_path / f"dag{i}.again.log"
+        save_document(loaded, again, head=head)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_three_parent_revision_rejected(tmp_path):
@@ -132,30 +143,69 @@ def test_reload_shares_triples_and_keeps_canonical_text(tmp_path):
     assert repeats > 0
 
 
-def test_reload_head_triples_are_the_delta_triples(tmp_path, monkeypatch):
-    """Each head-graph triple record resolves to the triple object the
-    deltas hold.  The reload's head check then matches every member by
-    identity and calls Triple.__eq__ for none; a member that is only an
-    equal copy would cost one call."""
-    gor = GraphOfRevisions("doc:head")
-    base = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), author=A_M, ts=0)
-    merged = rev_on(gor, base.hash, Delta.of({T[1]}, ())).hash
-    for k in range(2, 6):
-        d = Delta.of({T[k], triple(f"urn:s:{k}", "urn:p", literal(f"v\n{k}", "urn:dt"))}, ())
-        nxt = rev_on(gor, base.hash, d, author=bytes([k]) * 16).hash
-        merged = merge_revision(gor, merged, nxt, A_M, k).hash
-    path = tmp_path / "doc.log"
-    save_document(gor, path, head=merged)
+def _records(blob: bytes) -> list[tuple[int, bytes]]:
+    """A log split into its (kind, body) records."""
+    log, out = Reader(blob), []
+    while log.pos < len(blob):
+        out.append((log.take(1)[0], log.take_prefixed("I")))
+    return out
 
-    eq_calls = []
-    eq = Triple.__eq__
-    monkeypatch.setattr(Triple, "__eq__", lambda a, b: eq_calls.append(a) or eq(a, b))
-    loaded, head = load_document(path)
-    assert eq_calls == []
-    graph = loaded.materialize(head)
-    assert len(graph) == 2 + 2 * 4
-    copies = frozenset(Triple(t.subject, t.predicate, t.object) for t in graph)
-    assert copies == graph and len(eq_calls) == len(graph)
+
+def _joined(records) -> bytes:
+    return b"".join(bytes([kind]) + pack(body, "I") for kind, body in records)
+
+
+def _head_log(tmp_path):
+    """A saved log whose head graph is {T1, T2, typed literal}; T0 sits
+    in a delta but not in the head.  Returns the path and the records."""
+    gor = GraphOfRevisions("doc:head")
+    typed = triple("urn:s:num", "urn:p", literal("7", "urn:xsd:int"))
+    r1 = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0], T[1], typed}, ()), ts=1)
+    rev_on(gor, r1.hash, Delta.of({T[2]}, {T[0]}), ts=2)
+    path = tmp_path / "doc.log"
+    save_document(gor, path)
+    records = _records(path.read_bytes())
+    assert _joined(records) == path.read_bytes()
+    assert sum(kind == REC_TRIPLE for kind, _ in records) == 3
+    return path, records
+
+
+def test_head_records_in_any_order_or_repeated_load(tmp_path):
+    path, records = _head_log(tmp_path)
+    head = [r for r in records if r[0] == REC_TRIPLE]
+    rest = [r for r in records if r[0] != REC_TRIPLE]
+    gor, at = load_document(path)
+    expected = gor.materialize(at)
+    for variant in (rest + head[::-1], rest + head + head[1:2], head[:1] + rest + head):
+        path.write_bytes(_joined(variant))
+        loaded, at = load_document(path)
+        assert loaded.materialize(at) == expected
+
+
+def test_head_record_of_another_triple_rejected(tmp_path):
+    """T0 is a valid triple the deltas hold, but not in the head graph."""
+    path, records = _head_log(tmp_path)
+    swapped = [(k, _encode_triple(T[0]) if b == _encode_triple(T[2]) else b)
+               for k, b in records]
+    assert swapped != records
+    path.write_bytes(_joined(swapped))
+    with pytest.raises(CorruptLog, match="head graph"):
+        load_document(path)
+
+
+def test_head_record_with_iri_datatype_rejected(tmp_path):
+    """The subject of T1's record re-encoded with a datatype."""
+    path, records = _head_log(tmp_path)
+    plain = _encode_term(T[1].subject)
+    no_datatype = pack(b"", "I")
+    assert plain.endswith(no_datatype)
+    typed = plain[:-len(no_datatype)] + pack(b"urn:dt", "I")
+    damaged = [(k, typed + b[len(plain):] if b == _encode_triple(T[1]) else b)
+               for k, b in records]
+    assert damaged != records
+    path.write_bytes(_joined(damaged))
+    with pytest.raises(CorruptLog):
+        load_document(path)
 
 
 def test_delta_row_equal_to_an_iri_fails_as_corrupt_log(tmp_path):
