@@ -63,6 +63,13 @@ class SyncConfig:
     merge_duration: int = 0
     policy: str = POLICY_MERGE_REBASE
 
+    def __post_init__(self):
+        # the status tick reschedules itself status_period ms later
+        if self.status_period <= 0:
+            raise ValueError("status_period must be positive")
+        if self.policy not in (POLICY_MERGE_REBASE, POLICY_MERGE_ONLY):
+            raise ValueError(f"unknown policy {self.policy!r}")
+
 
 @dataclass
 class PeerInfo:

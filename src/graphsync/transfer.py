@@ -1,8 +1,9 @@
 """By-need bulk payload exchange: one sender, N receivers.
 
-The protocol logic lives in two pure step functions so it can be tested
-without a network; thin session wrappers drive the steps from the
-simulator clock.  Chunks are numbered densely from zero; receivers
+The protocol logic lives in two step functions, each of which updates
+a plain state object in place and returns it, so the protocol can be
+tested without a network; thin session wrappers drive the steps from
+the simulator clock.  Chunks are numbered densely from zero; receivers
 detect gaps from the sequence numbers, request resends, and steer the
 sender's inter-chunk delay with throttle messages (delay level tau,
 10 ms per level, never negative).  A transfer either commits the exact
@@ -11,7 +12,7 @@ payload bytes or aborts leaving nothing behind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from .wire import (
@@ -59,7 +60,7 @@ def payload_for_send(store, dataset_uri: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class SenderState:
     dataset: str
     receivers: frozenset[bytes]
@@ -81,60 +82,38 @@ class SenderState:
 def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
     """One protocol iteration: drain control traffic (resends answered
     before the next fresh chunk), then stream one chunk or finish.
-    Returns (state', outbound)."""
+    Updates state in place; returns (state, outbound)."""
     out = []
-    ready = set(state.ready_seen)
-    tau = state.tau
-    ups, downs = state.throttle_up_seen, state.throttle_down_seen
-    aborted = state.aborted
-
     for msg in inbound:
         if isinstance(msg, ReadyMsg):
-            ready.add(msg.receiver)
+            state.ready_seen |= {msg.receiver}
         elif isinstance(msg, ResendRequestMsg):
             for seq in msg.sequences:
                 if 0 <= seq < len(chunks):
                     out.append(DataMsg(state.dataset, seq, chunks[seq]))
         elif isinstance(msg, ThrottleUpMsg):
-            tau = max(0, tau - 1)
-            ups += 1
+            state.tau = max(0, state.tau - 1)
+            state.throttle_up_seen += 1
         elif isinstance(msg, ThrottleDownMsg):
-            tau += 1
-            downs += 1
+            state.tau += 1
+            state.throttle_down_seen += 1
         elif isinstance(msg, ErrorMsg):
-            aborted = True
+            state.aborted = True
 
-    streaming = state.streaming or ready >= state.receivers
-    finished = state.finished
-    next_seq = state.next_sequence
-
-    if streaming and not finished and not aborted:
-        if next_seq >= len(chunks):
-            finished = True
+    state.streaming = state.streaming or state.ready_seen >= state.receivers
+    if state.streaming and not state.finished and not state.aborted:
+        if state.next_sequence >= len(chunks):
+            state.finished = True
         else:
-            out.append(DataMsg(state.dataset, next_seq, chunks[next_seq]))
-            next_seq += 1
-
-    if aborted:
-        finished = True
-
-    if finished and streaming:
+            out.append(DataMsg(state.dataset, state.next_sequence, chunks[state.next_sequence]))
+            state.next_sequence += 1
+    if state.aborted:
+        state.finished = True
+    if state.finished_sent:
         # re-emitted on every later step so a lost Finished cannot strand
         # a receiver; receivers ignore duplicates
         out.append(FinishedMsg(state.dataset, len(chunks) - 1))
-
-    new_state = replace(
-        state,
-        ready_seen=frozenset(ready),
-        streaming=streaming,
-        next_sequence=next_seq,
-        tau=tau,
-        finished=finished,
-        aborted=aborted,
-        throttle_up_seen=ups,
-        throttle_down_seen=downs,
-    )
-    return new_state, out
+    return state, out
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +121,14 @@ def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReceiverState:
     dataset: str
     uuid: bytes
     max_chunks: int
     chunk_size: int = CHUNK_SIZE
     ready_sent: bool = False
-    received: tuple = ()  # tuple of (seq, bytes), insertion order
+    received: dict[int, bytes] = field(default_factory=dict)  # seq -> chunk
     max_seen: int = -1
     last_sequence: Optional[int] = None
     retry_rounds: int = 0
@@ -158,26 +137,20 @@ class ReceiverState:
     failed: bool = False
     done: bool = False
 
-    def received_map(self) -> dict[int, bytes]:
-        return dict(self.received)
-
-
-def _missing(received: dict[int, bytes], upto: int) -> tuple[int, ...]:
-    return tuple(s for s in range(upto + 1) if s not in received)
-
 
 def receiver_step(state: ReceiverState, queue: list, now: int):
-    """Process one data message plus all control traffic.  Returns
-    (state', outbound, leftover_queue).  Callers keep feeding the
-    leftover queue back in; its length is the reception queue depth
-    that drives throttling."""
+    """Process one data message plus all control traffic.  Updates state
+    in place; returns (state, outbound, leftover_queue).  Callers keep
+    feeding the leftover queue back in; its length is the reception
+    queue depth that drives throttling."""
     out = []
     if state.failed or state.done:
         return state, out, []
 
     if not state.ready_sent:
         out.append(ReadyMsg(state.dataset, state.uuid))
-        state = replace(state, ready_sent=True, last_retry_at=now)
+        state.ready_sent = True
+        state.last_retry_at = now
     elif (
         state.max_seen < 0
         and state.last_sequence is None
@@ -186,84 +159,63 @@ def receiver_step(state: ReceiverState, queue: list, now: int):
     ):
         # nothing heard yet: the Ready may have been lost, repeat it
         out.append(ReadyMsg(state.dataset, state.uuid))
-        state = replace(state, last_retry_at=now)
-
-    received = state.received_map()
-    last_sequence = state.last_sequence
-    max_seen = state.max_seen
-    failed = False
+        state.last_retry_at = now
 
     control, data_queue = [], []
     for msg in queue:
         (data_queue if isinstance(msg, DataMsg) else control).append(msg)
 
-    retry_rounds = state.retry_rounds
     for msg in control:
         if isinstance(msg, ErrorMsg):
-            failed = True
+            state.failed = True
         elif isinstance(msg, FinishedMsg):
-            last_sequence = msg.last_sequence
+            state.last_sequence = msg.last_sequence
             # renewed contact with the sender: the abort countdown only
             # measures consecutive unanswered retry rounds
-            retry_rounds = 0
+            state.retry_rounds = 0
 
+    received = state.received
     took_data = False
-    last_gap_request_at = state.last_gap_request_at
-    if data_queue and not failed:
+    if data_queue and not state.failed:
         msg = data_queue.pop(0)
         took_data = True
-        max_seen = max(max_seen, msg.sequence)
-        gaps = tuple(s for s in range(max_seen) if s not in received and s != msg.sequence)
-        if gaps and now - last_gap_request_at >= RETRY_INTERVAL_MS:
+        state.max_seen = max(state.max_seen, msg.sequence)
+        gaps = tuple(s for s in range(state.max_seen) if s not in received and s != msg.sequence)
+        if gaps and now - state.last_gap_request_at >= RETRY_INTERVAL_MS:
             out.append(ResendRequestMsg(state.dataset, state.uuid, gaps))
-            last_gap_request_at = now
+            state.last_gap_request_at = now
         if len(msg.data) > state.chunk_size or not (0 <= msg.sequence < max(state.max_chunks, 1)):
             out.append(ErrorMsg(state.dataset, state.uuid))
-            failed = True
+            state.failed = True
         elif msg.sequence not in received:
             received[msg.sequence] = msg.data
-            retry_rounds = 0
+            state.retry_rounds = 0
 
-        if not failed:
+        if not state.failed:
             depth = len(data_queue)
             if depth > QUEUE_HIGH_WATER:
                 out.append(ThrottleDownMsg(state.dataset, state.uuid))
             elif depth == 0:
                 out.append(ThrottleUpMsg(state.dataset, state.uuid))
 
-    done = False
-    last_retry_at = state.last_retry_at
-    if not failed and last_sequence is not None:
-        missing = _missing(received, last_sequence)
+    if not state.failed and state.last_sequence is not None:
+        missing = tuple(s for s in range(state.last_sequence + 1) if s not in received)
         if not missing:
-            done = True
-        elif not took_data and now - last_retry_at >= RETRY_INTERVAL_MS:
-            if retry_rounds >= RETRY_ROUNDS:
-                failed = True
+            state.done = True
+        elif not took_data and now - state.last_retry_at >= RETRY_INTERVAL_MS:
+            if state.retry_rounds >= RETRY_ROUNDS:
+                state.failed = True
             else:
                 out.append(ResendRequestMsg(state.dataset, state.uuid, missing))
-                retry_rounds += 1
-                last_retry_at = now
-
-    new_state = replace(
-        state,
-        received=tuple(sorted(received.items())),
-        max_seen=max_seen,
-        last_sequence=last_sequence,
-        retry_rounds=retry_rounds,
-        last_retry_at=last_retry_at,
-        last_gap_request_at=last_gap_request_at,
-        failed=failed,
-        done=done,
-    )
-    return new_state, out, data_queue
+                state.retry_rounds += 1
+                state.last_retry_at = now
+    return state, out, data_queue
 
 
 def assemble_payload(state: ReceiverState) -> bytes:
     if not state.done:
         raise ValueError("transfer not complete")
-    received = state.received_map()
-    return b"".join(received[s] for s in range((state.last_sequence or -1) + 1))
+    return b"".join(state.received[s] for s in range((state.last_sequence or -1) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,15 @@ def converged(agents, uri=DOC):
     return len(graphs) == 1
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"status_period": 0}, {"status_period": -5}, {"policy": "rebase-only"}, {"policy": ""},
+])
+def test_config_refuses_values_that_hang_or_misroute(kwargs):
+    # status_period 0 re-fired the status tick at the same millisecond forever
+    with pytest.raises(ValueError):
+        SyncConfig(**kwargs)
+
+
 class TestLocalChangePolicy:
     def test_change_queued_before_any_master_known(self):
         sim, (a, b) = make_team(2)

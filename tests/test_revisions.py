@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import os
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from graphsync import triples
 from graphsync.triples import (
     Delta,
     canonical_delta_bytes,
+    canonical_key,
     delta_apply,
     delta_compute,
     literal,
@@ -368,13 +372,29 @@ def random_dag(rng, n_revisions, triple_pool=None, merge_prob=0.25):
             base = rng.choice(sorted(r.hash for r in gor.revisions()))
             current = gor.materialize(base)
             ins = frozenset(rng.sample(pool, rng.randrange(3)))
-            rem = frozenset(t for t in current if rng.random() < 0.2)
+            # draw in a fixed order: a set of triples iterates in hash order,
+            # which differs between processes
+            rem = frozenset(t for t in sorted(current, key=canonical_key) if rng.random() < 0.2)
             if not ins and not rem:
                 ins = frozenset({pool[rng.randrange(len(pool))]})
             rev_on(gor, base, Delta(ins - rem if ins & rem else ins, rem), ts=ts,
                    author=rng.choice([A_B, A_C]))
         ts += 1
     return gor, sorted(gor.heads())
+
+
+def test_random_dag_is_the_same_in_every_process():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    script = ("import random; from test_revisions import random_dag; "
+              "print(*(h.hex() for h in random_dag(random.Random(3), 15)[1]))")
+    heads = {
+        subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True,
+                       env=dict(os.environ, PYTHONHASHSEED=seed,
+                                PYTHONPATH=os.pathsep.join([src, tests]))).stdout
+        for seed in ("0", "0", "1")
+    }
+    assert len(heads) == 1
 
 
 class TestMerge:
