@@ -83,7 +83,6 @@ class Election:
     round: int
     deadline: int
     ballots: dict[bytes, bytes]
-    candidates: tuple[bytes, ...] = ()
 
 
 class DocState:
@@ -424,7 +423,7 @@ class SyncAgent:
                         candidates: tuple[bytes, ...]) -> None:
         vote = self._choose_vote(doc, candidates)
         window = ELECTION_WINDOW_PERIODS * self.config.status_period
-        doc.election = Election(rnd, now + window, {self.ident.uuid: vote}, candidates)
+        doc.election = Election(rnd, now + window, {self.ident.uuid: vote})
         self.stats["max_election_round"] = max(self.stats["max_election_round"], rnd)
         doc.last_voted_for = vote
         self._broadcast(

@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .transfer import split_chunks
 from .triples import Term, Triple, iri, literal
 from .wire import AgentId
 
@@ -208,17 +209,34 @@ def remaining_region(target: Rect, covered: Iterable[Rect]) -> list[Rect]:
 class Payload:
     dataset: str
     blob_type: str
-    chunks: list[bytes]
+    chunk_size: int
+    body: bytes
 
     @property
     def total_bytes(self) -> int:
-        return sum(len(c) for c in self.chunks)
+        return len(self.body)
+
+    @property
+    def chunks(self) -> list[bytes]:
+        return split_chunks(self.body, self.chunk_size)
 
     def data(self) -> bytes:
-        return b"".join(self.chunks)
+        return self.body
 
 
 _MAGIC = b"GSPL"
+
+
+def _read_header(fh) -> tuple[str, str, int, int]:
+    """(uri, blob type, chunk size, total bytes) from a payload file's
+    header; leaves fh at the first payload byte."""
+    if fh.read(4) != _MAGIC:
+        raise ValueError("bad payload file")
+    uri_len, type_len = struct.unpack(">HH", fh.read(4))
+    uri = fh.read(uri_len).decode("utf-8")
+    blob_type = fh.read(type_len).decode("utf-8")
+    chunk_size, total = struct.unpack(">IQ", fh.read(12))
+    return uri, blob_type, chunk_size, total
 
 
 class PayloadStore:
@@ -265,10 +283,10 @@ class PayloadStore:
             if not name.endswith(".payload"):
                 continue
             with open(os.path.join(self.root, name), "rb") as fh:
-                if fh.read(4) != _MAGIC:
+                try:
+                    out.append(_read_header(fh)[0])
+                except ValueError:
                     continue
-                uri_len, _ = struct.unpack(">HH", fh.read(4))
-                out.append(fh.read(uri_len).decode("utf-8"))
         return out
 
     def load(self, dataset_uri: str) -> Payload:
@@ -276,14 +294,8 @@ class PayloadStore:
         if not os.path.exists(path):
             raise KeyError(dataset_uri)
         with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError("bad payload file")
-            uri_len, type_len = struct.unpack(">HH", fh.read(4))
-            uri = fh.read(uri_len).decode("utf-8")
-            blob_type = fh.read(type_len).decode("utf-8")
-            chunk_size, total = struct.unpack(">IQ", fh.read(12))
+            uri, blob_type, chunk_size, total = _read_header(fh)
             data = fh.read(total)
         if len(data) != total:
             raise ValueError("truncated payload file")
-        chunks = [data[i : i + chunk_size] for i in range(0, total, chunk_size)]
-        return Payload(uri, blob_type, chunks)
+        return Payload(uri, blob_type, chunk_size, data)

@@ -34,7 +34,7 @@ from .datasets import (
 from .netsim import LinkPolicy, NetworkSim, Scenario, Topology
 from .revisions import ROOT_REVISION, GraphOfRevisions, ParentLink, make_revision, merge_revision, rebase_revisions, squash
 from .storage import load_document, save_document
-from .transfer import ReceiverSession, SenderSession, payload_for_send, split_chunks
+from .transfer import ReceiverSession, SenderSession, payload_for_send
 from .triples import Delta, triple
 from .wire import AgentId, DataMsg, decode_frame, encode_frame
 
@@ -105,10 +105,9 @@ def _wire_transfer(sim: NetworkSim, dataset: str, payload: bytes, chunk_size: in
         schedule=sim.call_later, chunk_size=chunk_size,
     )
     attach(sender, session)
-    max_chunks = len(split_chunks(payload, chunk_size))
     for name, uuid in receivers.items():
         attach(name, ReceiverSession(
-            dataset, uuid, max_chunks=max_chunks,
+            dataset, uuid, max_chunks=len(session.chunks),
             send=lambda m, n=name: sim.send(encode_frame(m), n),
             schedule=sim.call_later,
             commit=lambda data, n=name: commit(n, data),

@@ -129,6 +129,7 @@ class ReceiverState:
     chunk_size: int = CHUNK_SIZE
     ready_sent: bool = False
     received: dict[int, bytes] = field(default_factory=dict)  # seq -> chunk
+    first_missing: int = field(default=0, init=False)  # every lower seq is held
     max_seen: int = -1
     last_sequence: Optional[int] = None
     retry_rounds: int = 0
@@ -179,19 +180,23 @@ def receiver_step(state: ReceiverState, queue: list, now: int):
     if data_queue and not state.failed:
         msg = data_queue.pop(0)
         took_data = True
-        state.max_seen = max(state.max_seen, msg.sequence)
-        gaps = tuple(s for s in range(state.max_seen) if s not in received and s != msg.sequence)
-        if gaps and now - state.last_gap_request_at >= RETRY_INTERVAL_MS:
-            out.append(ResendRequestMsg(state.dataset, state.uuid, gaps))
-            state.last_gap_request_at = now
         if len(msg.data) > state.chunk_size or not (0 <= msg.sequence < max(state.max_chunks, 1)):
             out.append(ErrorMsg(state.dataset, state.uuid))
             state.failed = True
-        elif msg.sequence not in received:
-            received[msg.sequence] = msg.data
-            state.retry_rounds = 0
-
-        if not state.failed:
+        else:
+            if msg.sequence not in received:
+                received[msg.sequence] = msg.data
+                state.retry_rounds = 0
+                while state.first_missing in received:
+                    state.first_missing += 1
+            state.max_seen = max(state.max_seen, msg.sequence)
+            # max_seen is held, so a gap below it exists iff first_missing < max_seen
+            if (state.first_missing < state.max_seen
+                    and now - state.last_gap_request_at >= RETRY_INTERVAL_MS):
+                gaps = tuple(s for s in range(state.first_missing, state.max_seen)
+                             if s not in received)
+                out.append(ResendRequestMsg(state.dataset, state.uuid, gaps))
+                state.last_gap_request_at = now
             depth = len(data_queue)
             if depth > QUEUE_HIGH_WATER:
                 out.append(ThrottleDownMsg(state.dataset, state.uuid))
@@ -199,13 +204,15 @@ def receiver_step(state: ReceiverState, queue: list, now: int):
                 out.append(ThrottleUpMsg(state.dataset, state.uuid))
 
     if not state.failed and state.last_sequence is not None:
-        missing = tuple(s for s in range(state.last_sequence + 1) if s not in received)
-        if not missing:
+        last = state.last_sequence
+        if state.first_missing > last:
             state.done = True
         elif not took_data and now - state.last_retry_at >= RETRY_INTERVAL_MS:
             if state.retry_rounds >= RETRY_ROUNDS:
                 state.failed = True
             else:
+                missing = tuple(s for s in range(state.first_missing, last + 1)
+                                if s not in received)
                 out.append(ResendRequestMsg(state.dataset, state.uuid, missing))
                 state.retry_rounds += 1
                 state.last_retry_at = now

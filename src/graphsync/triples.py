@@ -29,7 +29,6 @@ exactly those bytes.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -219,48 +218,34 @@ def canonical_delta_bytes(d: Delta) -> bytes:
 # Where this stops in a literal that does not close tells an
 # unterminated literal from a bad escape.
 _LITERAL_HEAD = r'"[^"\\]*(?:\\["\\nrt][^"\\]*)*'
-# One alternative per token kind: IRIREF, quoted literal, ``^^``, brace
-# or dot, bare word (keyword or prefixed name).  The last alternative
-# takes any other non-space character as a one-character error token:
-# an unterminated IRI or literal, a bad escape, a lone ``^`` or ``>``.
-# Whitespace matches no alternative, so findall skips it.  Every token
-# is non-empty.
+# One named alternative per token kind: IRIREF, quoted literal, ``^^``,
+# brace or dot, bare word (keyword or prefixed name).  The last takes
+# any other non-space character as a one-character error token: an
+# unterminated IRI or literal, a bad escape, a lone ``^`` or ``>``.
+# Whitespace matches no alternative, so finditer skips it.
 _TOKEN = re.compile(
-    r'<[^>]*>'
-    r'|' + _LITERAL_HEAD + r'"'
-    r'|\^\^'
-    r'|[{}.]'
-    r'|[^\s{}<>"^]+'
-    r'|\S'
+    r'(?P<iri><[^>]*>)'
+    r'|(?P<literal>' + _LITERAL_HEAD + r'")'
+    r'|(?P<caret>\^\^)'
+    r'|(?P<punct>[{}.])'
+    r'|(?P<word>[^\s{}<>"^]+)'
+    r'|(?P<error>\S)'
 )
 _ESCAPE_SEQ = re.compile(r"\\(.)", re.S)
 
 
-def _is_word(tok: str) -> bool:
-    return tok[0] not in '<>"^{}.'
-
-
-def _is_iri_ref(tok: str) -> bool:
-    return len(tok) > 1 and tok[0] == "<"
-
-
-def _is_literal(tok: str) -> bool:
-    return len(tok) > 1 and tok[0] == '"'
-
-
-def _unexpected(text: str, toks: list[str], i: int) -> MalformedDelta:
-    """The error for toks[i], located in the text."""
-    tok = toks[i]
-    if not tok:
+def _unexpected(text: str, tok: tuple) -> MalformedDelta:
+    """The error for the token tok, a (kind, text, offset) triple."""
+    kind, value, pos = tok
+    if kind == "end":
         return MalformedDelta("unexpected end of delta text")
-    pos = next(itertools.islice(_TOKEN.finditer(text), i, None)).start()
-    if tok == "<":
+    if value == "<":
         msg = "unterminated IRI"
-    elif tok == '"':
+    elif value == '"':
         pos = re.compile(_LITERAL_HEAD).match(text, pos).end()
         msg = "unterminated literal" if pos == len(text) else "bad escape"
     else:
-        msg = f"unexpected token {tok!r}"
+        msg = f"unexpected token {value!r}"
     return MalformedDelta(f"{msg} at offset {pos}")
 
 
@@ -270,79 +255,72 @@ def _unescape(body: str) -> str:
     return body
 
 
-def _expand_pname(word: str, prefixes: dict) -> str:
-    if ":" not in word:
-        raise MalformedDelta(f"not a prefixed name: {word!r}")
-    pfx, local = word.split(":", 1)
+def _expand_pname(tok: tuple, prefixes: dict) -> str:
+    """The IRI of an IRIREF or a prefixed-name token."""
+    kind, value, _ = tok
+    if kind == "iri":
+        return value[1:-1]
+    if ":" not in value:
+        raise MalformedDelta(f"not a prefixed name: {value!r}")
+    pfx, local = value.split(":", 1)
     if pfx not in prefixes:
         raise MalformedDelta(f"unknown prefix: {pfx!r}")
     return prefixes[pfx] + local
 
 
-def _parse_term(text: str, toks: list[str], i: int, prefixes: dict) -> tuple[Term, int]:
+def _parse_term(text: str, toks: list, i: int, prefixes: dict) -> tuple[Term, int]:
     """The term starting at toks[i] and the index after it."""
-    tok = toks[i]
-    if not tok:
-        raise _unexpected(text, toks, i)
-    if toks[i + 1] == "^^":
-        if not _is_literal(tok):
-            raise _unexpected(text, toks, i + 1)
+    kind, value, _ = toks[i]
+    if toks[i + 1][0] == "caret":  # checked before this token's own kind
+        if kind != "literal":
+            raise _unexpected(text, toks[i + 1])
         dt = toks[i + 2]
-        if not dt:
-            raise MalformedDelta("missing datatype after ^^")
-        if _is_iri_ref(dt):
-            return Term(LITERAL, _unescape(tok[1:-1]), dt[1:-1]), i + 3
-        if _is_word(dt):
-            return Term(LITERAL, _unescape(tok[1:-1]), _expand_pname(dt, prefixes)), i + 3
-        raise MalformedDelta("bad datatype")
-    if _is_iri_ref(tok):
-        return Term(IRI, tok[1:-1]), i + 1
-    if _is_literal(tok):
-        return Term(LITERAL, _unescape(tok[1:-1])), i + 1
-    if _is_word(tok):
-        return Term(IRI, _expand_pname(tok, prefixes)), i + 1
-    raise _unexpected(text, toks, i)
+        if dt[0] not in ("iri", "word"):
+            raise MalformedDelta("missing datatype after ^^" if dt[0] == "end" else "bad datatype")
+        return Term(LITERAL, _unescape(value[1:-1]), _expand_pname(dt, prefixes)), i + 3
+    if kind == "literal":
+        return Term(LITERAL, _unescape(value[1:-1])), i + 1
+    if kind in ("iri", "word"):
+        return Term(IRI, _expand_pname(toks[i], prefixes)), i + 1
+    raise _unexpected(text, toks[i])
 
 
 def _tokenize_parse(text: str) -> Delta:
     """The general parser of `delta_parse`; fills no cache."""
-    toks = _TOKEN.findall(text)
-    toks.append("")  # end sentinel; no token is empty
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    # Two end sentinels: no lookahead from a real token runs past them.
+    toks += [("end", "", len(text))] * 2
     prefixes: dict[str, str] = {}
     inserted: set[Triple] = set()
     removed: set[Triple] = set()
 
     i = 0
-    while toks[i]:
-        if not _is_word(toks[i]):
-            raise _unexpected(text, toks, i)
-        word = toks[i].upper()
+    while toks[i][0] != "end":
+        kind, value, _ = toks[i]
+        if kind != "word":
+            raise _unexpected(text, toks[i])
+        word = value.upper()
         if word == "PREFIX":
-            name = toks[i + 1]
-            if not name or not _is_word(name) or not name.endswith(":"):
+            (name_kind, name, _), (target_kind, target, _) = toks[i + 1 : i + 3]
+            if name_kind != "word" or not name.endswith(":"):
                 raise MalformedDelta("malformed PREFIX name")
-            target = toks[i + 2]
-            if not _is_iri_ref(target):
+            if target_kind != "iri":
                 raise MalformedDelta("malformed PREFIX declaration")
             prefixes[name[:-1]] = target[1:-1]
             i += 3
             continue
         if word in ("INSERT", "DELETE"):
-            if toks[i + 1].upper() != "DATA":
+            if toks[i + 1][1].upper() != "DATA":
                 raise MalformedDelta(f"{word} must be followed by DATA")
-            if toks[i + 2] != "{":
+            if toks[i + 2][1] != "{":
                 raise MalformedDelta("expected '{'")
             target = inserted if word == "INSERT" else removed
             i += 3
-            while True:
-                tok = toks[i]
-                if tok == "}":
-                    i += 1
-                    break
-                if tok == ".":
+            while toks[i][1] != "}":
+                if toks[i][1] == ".":
                     i += 1
                     continue
-                if not tok:
+                if toks[i][0] == "end":
                     raise MalformedDelta("unterminated block")
                 s, i = _parse_term(text, toks, i, prefixes)
                 p, i = _parse_term(text, toks, i, prefixes)
@@ -350,8 +328,9 @@ def _tokenize_parse(text: str) -> Delta:
                 if s.kind != IRI or p.kind != IRI:
                     raise MalformedDelta("subject and predicate must be IRIs")
                 target.add(Triple(s, p, o))
+            i += 1
             continue
-        raise MalformedDelta(f"disallowed construct: {toks[i]!r}")
+        raise MalformedDelta(f"disallowed construct: {value!r}")
 
     return Delta(frozenset(inserted), frozenset(removed))
 

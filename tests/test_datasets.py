@@ -195,6 +195,15 @@ class TestPayloadStore:
         assert p.blob_type == "ns#points_cloud"
         assert all(len(c) <= 100 for c in p.chunks)
 
+    def test_headers_list_uris_and_refuse_other_files(self, tmp_path):
+        store = PayloadStore(tmp_path)
+        store.commit("ds:b", "t", b"xy")
+        store.commit("ds:a", "t", b"z")
+        (tmp_path / "junk.payload").write_bytes(b"NOPE")
+        assert store.list_datasets() == ["ds:a", "ds:b"]
+        with pytest.raises(ValueError):
+            store.load("junk")
+
     def test_abort_removes_everything(self, tmp_path):
         store = PayloadStore(tmp_path)
         store.commit("ds:x", "t", b"abc")

@@ -164,6 +164,13 @@ class TestReceiverStep:
         state, out, _ = receiver_step(state, [DataMsg("ds:x", 9, b"x")], 0)
         assert state.failed and any(isinstance(m, ErrorMsg) for m in out)
 
+    def test_out_of_range_sequence_scans_no_gaps(self):
+        """The sequence is checked before the gap scan, so a peer cannot
+        make the receiver list every sequence below a huge one."""
+        state = ReceiverState("ds:x", R1, max_chunks=2, ready_sent=True)
+        state, out, _ = receiver_step(state, [DataMsg("ds:x", 10**6, b"x")], 0)
+        assert out == [ErrorMsg("ds:x", R1)]
+
     def test_queue_depth_throttling(self):
         state = ReceiverState("ds:x", R1, max_chunks=64, ready_sent=True)
         queue = [DataMsg("ds:x", i, b"x") for i in range(8)]
@@ -316,6 +323,34 @@ class TestEndToEnd:
         _, _, sink, failures = wire_sessions(sim, payload, ["r1"], chunk_size=100)
         sim.advance(60_000)
         assert failures["r1"] and sink["r1"] == []
+
+
+class CountingDict(dict):
+    """A dict that counts membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+class TestReceiverCost:
+    @pytest.mark.parametrize("n_chunks", [256, 512])
+    def test_membership_tests_linear_in_chunks(self, n_chunks):
+        """The gap and completion checks look each chunk up a bounded
+        number of times, not once per step for every chunk below it."""
+        payload = random.Random(n_chunks).randbytes(n_chunks * 64)
+        sim = NetworkSim(1, policy=LinkPolicy(("uniform", 1, 10), loss=0.2,
+                                              duplication=0.05, reorder=0.1))
+        _, sessions, sink, failures = wire_sessions(sim, payload, ["r1", "r2", "r3"],
+                                                    chunk_size=64)
+        for session in sessions.values():
+            session.state.received = CountingDict()
+        sim.advance(60_000)
+        assert all(sink[n] == [payload] and not failures[n] for n in sessions)
+        lookups = sum(session.state.received.lookups for session in sessions.values())
+        assert lookups <= 16 * n_chunks * len(sessions)
 
 
 def sha16(value) -> str:

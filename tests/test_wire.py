@@ -196,6 +196,40 @@ def test_golden_vote_frame():
     )
 
 
+def test_golden_revision_frame():
+    link = ParentLink(ROOT_REVISION.hash, Delta.of({triple("urn:a", "urn:b", "urn:c")}, ()))
+    frame = encode_frame(RevisionMsg("d", make_revision(b"\x01" * 16, 5, [link])))
+    text = b"INSERT DATA {\n <urn:a> <urn:b> <urn:c>\n}\n"
+    assert frame.hex() == (
+        "02" + "000164" + "01" * 16 + "0000000000000005"       # kind, uri, author, time
+        + "3b82af73931f1f24629df48cc11b48b0162a333160e9862ada14694e4a821d39"
+        + "30aebcf124c52a8eb5f278fdc72577b3b2524ecca38583c4d1eec5918988c4c4"  # digest
+        + "0000" + "01"                                         # signature, parents
+        + "11bb994b5d2eab48b18667c7d8943e82c9011cb1d974304b8f2b6247a7e6b7f5"
+        + "5ca2f7c62893644c3728d17dafd74ae3ba46271cf6287bb9e751c779a26fefc5"  # root
+        + "00000029" + text.hex()                               # delta text
+    )
+
+
+@pytest.mark.parametrize(
+    "msg, expect",
+    [
+        (RevisionRequestMsg("d", b"\x01" * 16, (b"\x11" * 64, b"\x22" * 64)),
+         "03" + "000164" + "01" * 16 + "0002" + "11" * 64 + "22" * 64),
+        (ReadyMsg("d", b"\x01" * 16), "0a" + "000164" + "01" * 16),
+        (ResendRequestMsg("d", b"\x01" * 16, (1, 258)),
+         "0c" + "000164" + "01" * 16 + "0002" + "0000000000000001" + "0000000000000102"),
+        (ErrorMsg("d", b"\x01" * 16), "0d" + "000164" + "01" * 16),
+        (ThrottleUpMsg("d", b"\x01" * 16), "0e" + "000164" + "01" * 16),
+        (ThrottleDownMsg("d", b"\x01" * 16), "0f" + "000164" + "01" * 16),
+        (FinishedMsg("d", 258), "10" + "000164" + "0000000000000102"),
+        (FinishedMsg("d", -1), "10" + "000164" + "ff" * 8),
+    ],
+)
+def test_golden_frames(msg, expect):
+    assert encode_frame(msg).hex() == expect
+
+
 def test_malformed_frames_rejected():
     with pytest.raises(MalformedFrame):
         decode_frame(b"")
