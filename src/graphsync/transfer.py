@@ -88,7 +88,9 @@ def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
         if isinstance(msg, ReadyMsg):
             state.ready_seen |= {msg.receiver}
         elif isinstance(msg, ResendRequestMsg):
-            for seq in msg.sequences:
+            # each distinct sequence once: a request that repeats one
+            # cannot make a step send that chunk again and again
+            for seq in dict.fromkeys(msg.sequences):
                 if 0 <= seq < len(chunks):
                     out.append(DataMsg(state.dataset, seq, chunks[seq]))
         elif isinstance(msg, ThrottleUpMsg):

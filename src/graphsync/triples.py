@@ -1,4 +1,4 @@
-"""Terms, triples, graphs and the set-based delta algebra.
+r"""Terms, triples, graphs and the set-based delta algebra.
 
 A graph version is a plain set of triples.  The difference between two
 versions is a delta: the pair (inserted, removed).  Applying a delta
@@ -13,9 +13,14 @@ the same as the byte order of their UTF-8 encodings, so the order is
 also the byte order of the encoded terms.
 
 Each `Triple` encodes itself once, when it is made: it keeps its sort
-key, its canonical text line and its hash.  So serializing a delta is a
-sort on the keys and a join of the lines, and a merge whose links carry
-triples that earlier deltas already wrote encodes none of them again.
+key, its canonical text line and its hash.  The sort key is one string
+that orders exactly as the 5-tuple above: subject, predicate, a kind
+flag ("0" for an IRI, "1" for a literal) glued to the object value, and
+the datatype or "", joined by "\0\0".  A part that holds a NUL writes
+each one as "\0\1" first, so the separator sorts below every character
+of a part.  So serializing a delta is a sort on string keys and a join
+of the lines, and a merge whose links carry triples that earlier deltas
+already wrote encodes none of them again.
 
 A `Delta` caches its canonical text.  The cache is computed from the
 triple sets on the first `delta_serialize` call, or taken from parsed
@@ -83,8 +88,10 @@ class Triple:
     """(subject, predicate, object); subject and predicate are IRIs.
 
     A triple computes three caches once, when it is made: ``_key``, its
-    `canonical_key`; ``_line``, its line in a canonical block; and
-    ``_hash``, the hash of its three terms, which `__hash__` returns.
+    `canonical_key`, one string that sorts in canonical triple order
+    (see the module docstring; only a part holding a NUL is escaped);
+    ``_line``, its line in a canonical block; and ``_hash``, the hash
+    of its three terms, which `__hash__` returns.
     They take no part in equality, and `dataclasses.replace`, `copy` and
     `pickle` build them afresh through the constructor.
     """
@@ -92,7 +99,7 @@ class Triple:
     subject: Term
     predicate: Term
     object: Term
-    _key: tuple = field(init=False, compare=False, repr=False)
+    _key: str = field(init=False, compare=False, repr=False)
     _line: str = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
@@ -102,9 +109,16 @@ class Triple:
             raise ValueError("triple subject must be an IRI")
         if p.kind != IRI:
             raise ValueError("triple predicate must be an IRI")
-        key = (s.value, p.value, o.kind != IRI, o.value, o.datatype or "")
+        line = f" <{s.value}> <{p.value}> {_object_text(o)}"
+        flag = "0" if o.kind == IRI else "1"
+        dt = o.datatype or ""
+        key = f"{s.value}\0\0{p.value}\0\0{flag}{o.value}\0\0{dt}"
+        if "\0" in line:  # the line holds every part and writes a NUL as is
+            key = "\0\0".join(
+                [x.replace("\0", "\0\1") for x in (s.value, p.value, flag + o.value, dt)]
+            )
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_line", f" <{s.value}> <{p.value}> {_object_text(o)}")
+        object.__setattr__(self, "_line", line)
         object.__setattr__(self, "_hash", hash((s, p, o)))
 
     def __hash__(self):
@@ -172,8 +186,9 @@ _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
 # Sort key of the canonical triple order, (subject, predicate, object
-# is a literal, object value, datatype or ""): subject and predicate
-# are always IRIs, and IRI objects sort before literals.
+# is a literal, object value, datatype or ""), as one order-preserving
+# string (see `Triple`): subject and predicate are always IRIs, and IRI
+# objects sort before literals.
 canonical_key = operator.attrgetter("_key")
 
 
@@ -369,12 +384,14 @@ def _canonical_line(row: str, lines: dict) -> Optional[Triple]:
 
 
 def _canonical_delta(text: str, lines: dict) -> Optional[Delta]:
-    """The delta whose `delta_serialize` is exactly ``text``, with the
+    r"""The delta whose `delta_serialize` is exactly ``text``, with the
     text as its cache; None for any other text.  Accepts only an
     optional non-empty INSERT block, then an optional non-empty DELETE
     block, each of canonical lines in strictly ascending canonical_key
-    order.  Rows are looked up in, and lines added to, ``lines``, which
-    maps each line to its Triple; no row reaches its IRI entries."""
+    order, checked by comparing the triples' key strings, whose NULs are
+    escaped as "\0\1" so that they order like the terms.  Rows are looked
+    up in, and lines added to, ``lines``, which maps each line to its
+    Triple; no row reaches its IRI entries."""
     rows = text.split("\n")
     if rows.pop():
         return None  # no final newline

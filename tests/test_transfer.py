@@ -81,6 +81,14 @@ class TestSenderStep:
         fresh_after = data.index(5)
         assert i3 < fresh_after and i7 < fresh_after
 
+    def test_repeated_resend_sequence_answered_once(self):
+        chunks = split_chunks(bytes(10), 1)
+        state = SenderState("ds:x", frozenset({R1}))
+        state, out = sender_step(state, [ResendRequestMsg("ds:x", R1, (0,) * 1000)], chunks)
+        assert out == [DataMsg("ds:x", 0, chunks[0])]
+        state, out = sender_step(state, [ResendRequestMsg("ds:x", R1, (7, 3, 7, 3))], chunks)
+        assert [m.sequence for m in out] == [7, 3]
+
     def test_throttle_counters_clamped(self):
         chunks = split_chunks(bytes(4), 1)
         events = [

@@ -288,10 +288,12 @@ def _ref_term_text(t, escapes=_REF_ESCAPES):
     return f'"{body}"'
 
 
+def _ref_triple_key(t):
+    return tuple(_ref_term_key(x) for x in (t.subject, t.predicate, t.object))
+
+
 def _ref_block(keyword, triples, escapes):
-    ordered = sorted(
-        triples, key=lambda t: tuple(_ref_term_key(x) for x in (t.subject, t.predicate, t.object))
-    )
+    ordered = sorted(triples, key=_ref_triple_key)
     lines = [
         " " + " ".join(_ref_term_text(x, escapes) for x in (t.subject, t.predicate, t.object))
         for t in ordered
@@ -312,6 +314,18 @@ def reference_delta_bytes(d):
     """The codec's first serializer, kept as the reference: a byte-keyed
     sort and per-character escapes."""
     return _ref_text(d.inserted, d.removed).encode("utf-8")
+
+
+def assert_keys_order_like_reference(triples):
+    """canonical_key orders every pair as the reference byte key does,
+    and two keys are equal exactly when their triples are."""
+    triples = list(triples)
+    for a in triples:
+        ka, ra = canonical_key(a), _ref_triple_key(a)
+        for b in triples:
+            kb, rb = canonical_key(b), _ref_triple_key(b)
+            assert (ka < kb) == (ra < rb)
+            assert (ka == kb) == (a == b)
 
 
 NS = "http://ex.org/é/"
@@ -349,6 +363,18 @@ _odd_literals = st.builds(
 _odd_triples = st.builds(Triple, _odd_iri_terms, _odd_iri_terms, _odd_iri_terms | _odd_literals)
 odd_deltas = st.builds(
     Delta.of, st.frozensets(_odd_triples, max_size=6), st.frozensets(_odd_triples, max_size=6)
+)
+
+# Every term over a four-character alphabet with NUL, which an IRI and
+# a datatype may hold too: short values share prefixes, so keys meet
+# at NULs, at the ends of parts and at the kind flag.
+_NUL_CHARS = st.sampled_from("\x00\x01\x02a")
+_nul_iris = st.text(_NUL_CHARS, min_size=1, max_size=4)
+_nul_iri_terms = _nul_iris.map(iri)
+_nul_literals = st.builds(literal, st.text(_NUL_CHARS, max_size=4), st.none() | _nul_iris)
+_nul_triples = st.builds(Triple, _nul_iri_terms, _nul_iri_terms, _nul_iri_terms | _nul_literals)
+nul_deltas = st.builds(
+    Delta.of, st.frozensets(_nul_triples, min_size=2, max_size=8), st.frozensets(_nul_triples, max_size=8)
 )
 
 
@@ -411,6 +437,23 @@ class TestCodecProperties:
         assert parsed == d
         assert parsed._text is text  # the strict path keeps canonical text
 
+    @settings(max_examples=300, deadline=None)
+    @given(nul_deltas, st.randoms(use_true_random=False))
+    def test_nuls_in_every_term_keep_the_canonical_order(self, d, rng):
+        assert_keys_order_like_reference(d.inserted | d.removed)
+        text = delta_serialize(d)
+        assert canonical_delta_bytes(d) == reference_delta_bytes(d)
+        assert delta_parse(text)._text is text
+        # Two adjacent rows of a block swapped: out of order, so the
+        # strict path refuses the text and the tokenizer reads it.
+        rows = text.split("\n")
+        i = rng.choice([i for i in range(len(rows) - 1) if rows[i][:1] == rows[i + 1][:1] == " "])
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        swapped = "\n".join(rows)
+        assert graphsync.triples._canonical_delta(swapped, {}) is None
+        parsed = delta_parse(swapped)
+        assert parsed == d and parsed._text is None
+
     @settings(max_examples=200, deadline=None)
     @given(deltas, st.randoms(use_true_random=False))
     def test_loose_rendering_parses_to_canonical_bytes(self, d, rng):
@@ -454,7 +497,6 @@ class TestTripleCaches:
         for t in d.inserted | d.removed:
             s, p, o = t.subject, t.predicate, t.object
             assert t._line == " " + " ".join(_ref_term_text(x) for x in (s, p, o))
-            assert canonical_key(t) == (s.value, p.value, o.kind != "iri", o.value, o.datatype or "")
             assert hash(t) == hash((s, p, o))
             twins = [dataclasses.replace(t), copy.copy(t), copy.deepcopy(t),
                      pickle.loads(pickle.dumps(t))]
@@ -466,6 +508,7 @@ class TestTripleCaches:
             for name in ("_key", "_line", "_hash"):
                 object.__setattr__(stale, name, None)
             assert stale == t and not stale != t
+        assert_keys_order_like_reference(d.inserted | d.removed)
 
     def test_unpickled_triple_hashes_under_this_hash_seed(self):
         """A pickle carries the terms only, so a triple pickled in a
