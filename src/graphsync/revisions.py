@@ -130,9 +130,10 @@ class GraphOfRevisions:
 
     Revisions may arrive before their parents; they are stored anyway
     and the unresolved parent digests are reported so the caller can
-    request them.  Materializations are cached per revision.  ``_local``
-    holds the unpublished revisions, the only ones that may be rebased,
-    squashed or removed.
+    request them.  `materialize` replays runs of one-parent revisions in
+    place and caches only the graphs asked for, every merge and each
+    merge's parents.  ``_local`` holds the unpublished revisions, the
+    only ones that may be rebased, squashed or removed.
 
     Two indexes are kept up to date by `insert` and `remove`, so the
     per-frame queries `heads` and `resolved` cost no history walk:
@@ -353,30 +354,48 @@ class GraphOfRevisions:
 
     def materialize(self, h: bytes) -> frozenset:
         """Triple set obtained by replaying deltas root-to-h.  For merge
-        revisions both parent paths are required to agree."""
-        if h in self._mat:
-            return self._mat[h]
+        revisions both parent paths are required to agree.  Raises
+        `UnresolvedAncestor` unless h and all its ancestors are present.
+
+        The run of one-parent revisions below h is walked down to the
+        nearest cached graph or merge, and its deltas are replayed in
+        order on one mutable set.  Only h, every merge and each merge's
+        parents are cached; the revisions inside a run are not."""
+        if h not in self._resolved:
+            raise UnresolvedAncestor(h.hex())
+        mat = self._mat
         stack = [h]
         while stack:
-            cur = stack[-1]
-            if cur in self._mat:
+            top = stack[-1]
+            if top in mat:
                 stack.pop()
                 continue
-            rev = self._revs.get(cur)
-            if rev is None:
-                raise UnresolvedAncestor(cur.hex())
-            pending = [l.parent for l in rev.parents if l.parent not in self._mat]
-            if pending:
-                stack.extend(pending)
-                continue
+            run = []
+            cur = top
+            while cur not in mat:
+                rev = self._revs[cur]
+                if len(rev.parents) != 1:
+                    break
+                run.append(rev.parents[0].delta)
+                cur = rev.parents[0].parent
+            if cur not in mat:
+                # a merge (or a root) whose graph is not cached yet
+                pending = [l.parent for l in rev.parents if l.parent not in mat]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                results = [delta_apply(mat[l.parent], l.delta) for l in rev.parents]
+                if rev.is_merge and results[0] != results[1]:
+                    raise MergePathDivergence(cur.hex())
+                mat[cur] = results[0] if results else frozenset()
+            if run:
+                graph = set(mat[cur])
+                for delta in reversed(run):
+                    graph -= delta.removed
+                    graph |= delta.inserted
+                mat[top] = frozenset(graph)
             stack.pop()
-            results = [
-                delta_apply(self._mat[l.parent], l.delta) for l in rev.parents
-            ]
-            if rev.is_merge and results[0] != results[1]:
-                raise MergePathDivergence(cur.hex())
-            self._mat[cur] = results[0] if results else frozenset()
-        return self._mat[h]
+        return mat[h]
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,10 @@ def sender_step(state: SenderState, inbound: Iterable, chunks: list[bytes]):
     for msg in inbound:
         if isinstance(msg, ReadyMsg):
             state.ready_seen |= {msg.receiver}
-        elif isinstance(msg, ResendRequestMsg):
+        elif isinstance(msg, ResendRequestMsg) and msg.requester in state.receivers:
             # each distinct sequence once: a request that repeats one
-            # cannot make a step send that chunk again and again
+            # cannot make a step send that chunk again and again; a
+            # requester outside the transfer is not answered at all
             for seq in dict.fromkeys(msg.sequences):
                 if 0 <= seq < len(chunks):
                     out.append(DataMsg(state.dataset, seq, chunks[seq]))

@@ -15,6 +15,7 @@ from graphsync.revisions import (
     GraphOfRevisions,
     HashMismatch,
     MalformedRevision,
+    MergePathDivergence,
     NotLinear,
     NotLocal,
     EmptyPath,
@@ -828,3 +829,112 @@ class TestAncestryMemo:
         for rev in removed:
             gor.insert(rev, local=True)
             self.assert_ancestry_matches(gor, seen)
+
+
+# -- materialization against the fold -------------------------------------
+
+
+def materialize_by_fold(gor, h):
+    """Reference for `materialize`: fold the deltas of every revision
+    from the root to h, keeping a graph per revision passed (in a dict
+    of its own), and compare both parent links of every merge."""
+    mat = {ROOT_REVISION.hash: frozenset()}
+    stack = [h]
+    while stack:
+        cur = stack[-1]
+        if cur in mat:
+            stack.pop()
+            continue
+        rev = gor._revs.get(cur)
+        if rev is None:
+            raise UnresolvedAncestor(cur.hex())
+        pending = [link.parent for link in rev.parents if link.parent not in mat]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        results = [delta_apply(mat[link.parent], link.delta) for link in rev.parents]
+        if rev.is_merge and results[0] != results[1]:
+            raise MergePathDivergence(cur.hex())
+        mat[cur] = results[0] if results else frozenset()
+    return mat[h]
+
+
+def outcome(materialize, *args):
+    """The graph, or the type of the exception raised."""
+    try:
+        return materialize(*args)
+    except (UnresolvedAncestor, MergePathDivergence) as exc:
+        return type(exc)
+
+
+def forged_merge():
+    """A hash-valid merge with empty links over two different one-parent
+    revisions, and three one-parent revisions below it."""
+    gor = GraphOfRevisions("doc:forged")
+    a = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[0]}, ()), author=A_B)
+    b = rev_on(gor, ROOT_REVISION.hash, Delta.of({T[1]}, ()), author=A_C)
+    merge = make_revision(A_M, 2, (ParentLink(a.hash, Delta()), ParentLink(b.hash, Delta())))
+    gor.insert(merge)
+    below = [merge]
+    for ts in range(3, 6):
+        below.append(rev_on(gor, below[-1].hash, Delta.of({T[ts]}, ()), ts=ts))
+    return gor, a, b, below
+
+
+class TestMaterializeAgainstFold:
+    @settings(max_examples=300, deadline=None)
+    @given(revision_dags(), st.integers(0, 10), st.randoms(use_true_random=False))
+    def test_every_revision_equals_the_fold(self, order, held_back, rng):
+        """Insert in any order with some revisions held back and ask for
+        revisions in random orders: an unresolved one raises
+        `UnresolvedAncestor`, any other equals the fold (or raises
+        `MergePathDivergence` where the fold does); once the held-back
+        revisions arrive, every revision materializes as the fold."""
+        gor = GraphOfRevisions("doc:mat")
+        hashes = [ROOT_REVISION.hash] + [r.hash for r, _ in order]
+        cut = max(0, len(order) - held_back)
+        for rev, local in order[:cut]:
+            gor.insert(rev, local=local)
+        for h in rng.sample(hashes, len(hashes)):
+            if resolved_by_dfs(gor, h):
+                assert outcome(gor.materialize, h) == outcome(materialize_by_fold, gor, h)
+            else:
+                assert outcome(gor.materialize, h) is UnresolvedAncestor
+        for rev, local in order[cut:]:
+            gor.insert(rev, local=local)
+        for h in rng.sample(hashes, len(hashes)):
+            assert outcome(gor.materialize, h) == outcome(materialize_by_fold, gor, h)
+
+    def test_a_run_caches_only_its_ends(self):
+        gor = GraphOfRevisions("doc:run")
+        head = ROOT_REVISION.hash
+        for ts in range(1, 301):
+            head = rev_on(gor, head, Delta.of({T[ts % 10]}, {T[(ts + 1) % 10]}), ts=ts).hash
+        assert gor.materialize(head) == materialize_by_fold(gor, head)
+        assert set(gor._mat) == {ROOT_REVISION.hash, head}
+
+    def test_one_call_caches_at_most_one_graph_and_three_per_merge(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            dag, _ = random_dag(rng, rng.randrange(10, 40), merge_prob=0.4)
+            merges = sum(r.is_merge for r in dag.revisions())
+            gor = GraphOfRevisions("doc:copy")  # nothing cached but the root
+            for rev in dag.revisions():
+                gor.insert(rev)
+            hashes = sorted(r.hash for r in gor.revisions())
+            for h in rng.sample(hashes, len(hashes)):
+                before = len(gor._mat)
+                assert gor.materialize(h) == materialize_by_fold(gor, h)
+                assert len(gor._mat) - before <= 1 + 3 * merges
+
+    @pytest.mark.parametrize("ask", [0, 3], ids=["merge", "three-below"])
+    def test_divergent_merge_raises_and_caches_neither(self, ask):
+        gor, a, b, below = forged_merge()
+        with pytest.raises(MergePathDivergence):
+            gor.materialize(below[ask].hash)
+        assert not any(r.hash in gor._mat for r in below)
+        with pytest.raises(MergePathDivergence):
+            gor.materialize(below[ask].hash)
+        assert gor.materialize(a.hash) == {T[0]}
+        assert gor.materialize(b.hash) == {T[1]}

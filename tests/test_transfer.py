@@ -89,6 +89,14 @@ class TestSenderStep:
         state, out = sender_step(state, [ResendRequestMsg("ds:x", R1, (7, 3, 7, 3))], chunks)
         assert [m.sequence for m in out] == [7, 3]
 
+    def test_resend_from_outside_the_transfer_is_not_answered(self):
+        chunks = split_chunks(bytes(256 * 1024), 64 * 1024)
+        stranger = b"\x99" * 16
+        state = SenderState("ds:x", frozenset({R1, R2}))
+        flood = [ResendRequestMsg("ds:x", stranger, (0, 1, 2, 3))] * 50
+        state, out = sender_step(state, flood, chunks)
+        assert out == [] and not state.streaming
+
     def test_throttle_counters_clamped(self):
         chunks = split_chunks(bytes(4), 1)
         events = [
