@@ -40,6 +40,8 @@ from .revisions import (
 )
 from .triples import Delta
 from .wire import (
+    MAX_ROUND,
+    MAX_WANTED,
     AgentId,
     RevisionMsg,
     RevisionRequestMsg,
@@ -178,7 +180,9 @@ class SyncAgent:
             return
         for h in fresh:
             doc.outstanding[h] = now
-        self._broadcast(RevisionRequestMsg(doc.gor.uri, self.ident.uuid, tuple(fresh)))
+        for i in range(0, len(fresh), MAX_WANTED):
+            self._broadcast(RevisionRequestMsg(
+                doc.gor.uri, self.ident.uuid, tuple(fresh[i:i + MAX_WANTED])))
 
     def _send_status(self, doc: DocState, now: int) -> None:
         doc.last_status_sent = now
@@ -443,6 +447,10 @@ class SyncAgent:
         return min(pool, key=lambda u: (pool[u], u))
 
     def _handle_vote(self, doc: DocState, msg: VoteMsg, now: int) -> None:
+        if msg.round >= MAX_ROUND:
+            # a tie there would start a round the wire cannot carry, so an
+            # election a tie carries to the last round counts only its own ballot
+            return
         if doc.election is None or msg.round > doc.election.round:
             candidates = (msg.candidate,) if msg.round > 0 else ()
             self._start_election(doc, now, msg.round, candidates)

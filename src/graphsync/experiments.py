@@ -15,8 +15,9 @@ import hashlib
 import os
 import random
 import time
-
-import numpy as np
+from math import fsum
+from operator import mul
+from statistics import correlation, fmean
 
 from .agent import SyncAgent, SyncConfig
 from .datasets import (
@@ -128,14 +129,21 @@ def fresh_delta(tag: str, count: int) -> Delta:
 
 
 def fit_r2(xs, ys, degree: int = 1) -> float:
-    """Coefficient of determination of a polynomial least-squares fit."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    pred = np.polyval(np.polyfit(xs, ys, degree), xs)
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
+    """Coefficient of determination of a polynomial least-squares fit:
+    the sum of the squared correlations of ys with x, ..., x**degree,
+    each power first made orthogonal to the lower ones."""
+    if min(ys) == max(ys):
         return 1.0
-    return 1.0 - float(np.sum((ys - pred) ** 2)) / ss_tot
+    centre = fmean(xs)
+    basis, r2 = [[1.0] * len(xs)], 0.0  # starting from x**0
+    for power in range(1, degree + 1):
+        column = [(x - centre) ** power for x in xs]
+        for b in basis:
+            k = fsum(map(mul, column, b)) / fsum(map(mul, b, b))
+            column = [c - k * v for c, v in zip(column, b)]
+        r2 += correlation(column, ys) ** 2
+        basis.append(column)
+    return r2
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,9 @@ def receiver_step(state: ReceiverState, queue: list, now: int):
     for msg in control:
         if isinstance(msg, ErrorMsg):
             state.failed = True
-        elif isinstance(msg, FinishedMsg):
+        elif isinstance(msg, FinishedMsg) and -1 <= msg.last_sequence < state.max_chunks:
+            # an end outside the transfer is ignored, not fatal: no honest
+            # sender sends one, and a stray frame must not abort the transfer
             state.last_sequence = msg.last_sequence
             # renewed contact with the sender: the abort countdown only
             # measures consecutive unanswered retry rounds
@@ -225,7 +227,7 @@ def receiver_step(state: ReceiverState, queue: list, now: int):
 def assemble_payload(state: ReceiverState) -> bytes:
     if not state.done:
         raise ValueError("transfer not complete")
-    return b"".join(state.received[s] for s in range((state.last_sequence or -1) + 1))
+    return b"".join(state.received[s] for s in range(state.last_sequence + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ KIND_NAMES = {
     KIND_FINISHED: "finished",
 }
 
+# the widest digest count of a revision request ('>H') and round of a vote ('>I')
+MAX_WANTED = 0xFFFF
+MAX_ROUND = 0xFFFFFFFF
+
 
 class MalformedFrame(ValueError):
     pass

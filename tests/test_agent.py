@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from graphsync.revisions import ROOT_REVISION, ParentLink, make_revision
 from graphsync.triples import Delta, triple
 from graphsync.wire import (
     KIND_REVISION,
+    KIND_REVISION_REQUEST,
     KIND_STATUS,
     KIND_VOTE,
     AgentId,
@@ -363,10 +365,8 @@ class TestDecodeOnce:
         assert sum(f is frame for f in decodes) == 2
 
 
-def live_frames():
-    """Every frame a 3-agent team sends while it elects a master and
-    publishes one change per agent."""
-    sim, agents = make_team(3)
+def recorded(sim):
+    """The frames sim sends from now on, appended as they are sent."""
     frames = []
     send = sim.send
 
@@ -375,6 +375,14 @@ def live_frames():
         return send(frame, src, dst)
 
     sim.send = recording_send
+    return frames
+
+
+def live_frames():
+    """Every frame a 3-agent team sends while it elects a master and
+    publishes one change per agent."""
+    sim, agents = make_team(3)
+    frames = recorded(sim)
     sim.advance(8000)
     for i, ag in enumerate(agents):
         ag.local_change(DOC, Delta.of(fresh_triples(f"live{i}", 2), ()))
@@ -434,28 +442,30 @@ class TestUndecodableFrames:
             assert empty > 0 and ag.stats["undecodable"] == empty
 
 
+def team_beside(frames, n=3):
+    """A team of n that edits once per agent while an outside endpoint
+    sends frames at 9 000 ms; returns the agents once they converge."""
+    sim, agents = make_team(n)
+
+    def inject(now):
+        for frame in frames:
+            sim.send(frame, "mallory")
+
+    sim.register("mallory", lambda src, frame, now: None)
+    sim.call_at(9000, inject)
+    sim.advance(8000)
+    for i, ag in enumerate(agents):
+        ag.local_change(DOC, Delta.of(fresh_triples(f"t{i}", 2), ()))
+    sim.advance(40_000)
+    assert converged(agents)
+    assert agents[0].head_graph(DOC) == frozenset().union(
+        *(fresh_triples(f"t{i}", 2) for i in range(n)))
+    return agents
+
+
 class TestOutsideRevisions:
     """Revision frames from an outside endpoint that hold a revision no
     agent may accept: a wrong digest, no parent, three parents."""
-
-    @staticmethod
-    def team_beside(frames):
-        sim, agents = make_team(3)
-
-        def inject(now):
-            for frame in frames:
-                sim.send(frame, "mallory")
-
-        sim.register("mallory", lambda src, frame, now: None)
-        sim.call_at(9000, inject)
-        sim.advance(8000)
-        for i, ag in enumerate(agents):
-            ag.local_change(DOC, Delta.of(fresh_triples(f"t{i}", 2), ()))
-        sim.advance(40_000)
-        assert converged(agents)
-        assert agents[0].head_graph(DOC) == frozenset().union(
-            *(fresh_triples(f"t{i}", 2) for i in range(3)))
-        return agents
 
     def test_flipped_digest_is_undecodable_and_never_inserted(self):
         rev = make_revision(b"\x09" * 16, 9, (
@@ -463,7 +473,7 @@ class TestOutsideRevisions:
         frame = encode_frame(RevisionMsg(DOC, rev))
         at = frame.index(rev.hash)
         bad = frame[:at] + bytes([frame[at] ^ 1]) + frame[at + 1:]
-        agents = self.team_beside([bad])
+        agents = team_beside([bad])
         assert [ag.stats["undecodable"] for ag in agents] == [1, 1, 1]
         for ag in agents:
             assert rev.hash not in ag.documents[DOC].gor
@@ -473,6 +483,35 @@ class TestOutsideRevisions:
         link = ParentLink(ROOT_REVISION.hash, Delta.of(fresh_triples("x", 1), ()))
         orphan = make_revision(b"\x09" * 16, 9, ())
         three = make_revision(b"\x09" * 16, 9, (link, link, link))
-        agents = self.team_beside([encode_frame(RevisionMsg(DOC, r)) for r in (orphan, three)])
+        agents = team_beside([encode_frame(RevisionMsg(DOC, r)) for r in (orphan, three)])
         assert [ag.stats["undecodable"] for ag in agents] == [2, 2, 2]
         assert all(r.hash not in ag.documents[DOC].gor for ag in agents for r in (orphan, three))
+
+
+class TestNumbersFromPeers:
+    """A number a peer sends never grows into a field the agent cannot
+    encode in a message of its own."""
+
+    @pytest.mark.parametrize("rnd", [2**32 - 1, 2**32 - 2])
+    def test_votes_at_the_last_rounds_leave_the_team_converging(self, rnd):
+        # the first vote heard is for 00..00 and five more are for ee..ee,
+        # so an agent that counts them all ties the round 5 to 5
+        votes = [VoteMsg(DOC, bytes(16), bytes(16), rnd, 9000, 9000)] + [
+            VoteMsg(DOC, bytes([0xE0 + i]) * 16, b"\xee" * 16, rnd, 9000, 9000)
+            for i in range(5)]
+        agents = team_beside([encode_frame(v) for v in votes], n=4)
+        assert all(ag.stats["max_election_round"] <= 2**32 - 1 for ag in agents)
+
+    def test_stale_requests_go_out_in_frames_the_wire_can_count(self):
+        sim, (a, b) = make_team(2)
+        sim.advance(8000)
+        doc = a.documents[DOC]
+        digests = [hashlib.sha512(i.to_bytes(4, "big")).digest() for i in range(66_000)]
+        for h in digests:
+            doc.outstanding[h] = 8000 - a.config.status_period
+        frames = recorded(sim)
+        a.tick(8000)
+        wanted = [h for f in frames if f[0] == KIND_REVISION_REQUEST
+                  for h in decode_frame(f).wanted]
+        assert wanted == digests
+        assert set(doc.outstanding) == set(digests)

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -8,10 +10,44 @@ from graphsync import experiments
 from graphsync.cli import main
 from graphsync.netsim import parse_scenario
 
+from test_acceptance import fit_r2 as numpy_fit_r2
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
 
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def run_python(script, *args, **env):
+    """Run script in a fresh interpreter that imports graphsync from src."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, check=True)
+
+
+def series(kind, n, seed):
+    rng = random.Random(seed)
+    if kind == "linear":
+        return [3.0 + 0.5 * x for x in range(1, n + 1)]
+    noisy = [2e-4 * x + rng.gauss(0, 1e-3) for x in range(1, n + 1)]
+    return noisy if kind == "noisy" else list(itertools.accumulate(noisy))
+
+
+class TestFitR2:
+    @pytest.mark.parametrize("kind", ["linear", "noisy", "cumulative"])
+    @pytest.mark.parametrize("n", [5, 20, 200])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_matches_the_numpy_fit(self, kind, n, degree):
+        for seed in range(5):
+            xs, ys = list(range(1, n + 1)), series(kind, n, seed)
+            oracle, _ = numpy_fit_r2(xs, ys, degree)
+            assert abs(experiments.fit_r2(xs, ys, degree) - oracle) < 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_constant_series_fits_perfectly(self, degree):
+        assert experiments.fit_r2([1, 2, 3, 4], [0.25] * 4, degree) == 1.0
 
 
 class TestMergeScaling:
@@ -54,14 +90,10 @@ class TestNeverSync:
 
 class TestCollabMapping:
     def test_outputs_independent_of_hash_seed(self, tmp_path):
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         script = ("import sys; from graphsync.experiments import run_collab_mapping; "
                   "run_collab_mapping(sys.argv[1], seed=1)")
         for hash_seed in ("0", "1"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            subprocess.run([sys.executable, "-c", script, str(tmp_path / hash_seed)],
-                           env=env, check=True)
+            run_python(script, tmp_path / hash_seed, PYTHONHASHSEED=hash_seed)
         for name in ("holders.csv", "mapping-report.txt", "payloads.csv"):
             assert read(tmp_path / "0" / name) == read(tmp_path / "1" / name)
 
@@ -135,6 +167,15 @@ class TestCli:
         assert "merge-scaling: 20 revisions" in capsys.readouterr().out
         rows = read(tmp_path / "merge-scaling.csv").decode().strip().splitlines()
         assert len(rows) == 1 + 2 * 19   # 19 merges for each of 10 and 100 triples
+
+    def test_run_and_verify_without_numpy(self, tmp_path):
+        """The package needs nothing beyond the standard library: with
+        numpy made unimportable a run and its verification still pass."""
+        run_python("import sys; sys.modules['numpy'] = None; "
+                   "from graphsync.cli import main; out = sys.argv[1]; "
+                   "assert main(['run', 'merge-scaling', '--seed', '1', "
+                   "'--revisions', '20', '--out', out]) == 0; "
+                   "assert main(['verify', out]) == 0", tmp_path)
 
     def test_run_partition_12(self, tmp_path, capsys):
         rc = main(["run", "partition-12", "--seed", "1", "--out", str(tmp_path)])

@@ -225,10 +225,34 @@ class TestReceiverStep:
         state, _, _ = receiver_step(state, [FinishedMsg("ds:x", 2)], 5)
         assert state.done and assemble_payload(state) == b"abc"
 
+    def test_one_chunk_payload_is_its_chunk(self):
+        """Finished names sequence 0, which must not read as no sequence."""
+        state = ReceiverState("ds:x", R1, max_chunks=1, ready_sent=True)
+        state, _, _ = receiver_step(state, [DataMsg("ds:x", 0, b"a")], 0)
+        state, _, _ = receiver_step(state, [FinishedMsg("ds:x", 0)], 5)
+        assert state.done and assemble_payload(state) == b"a"
+
     def test_empty_payload_commits_zero_bytes(self):
         state = ReceiverState("ds:x", R1, max_chunks=0, ready_sent=True)
         state, _, _ = receiver_step(state, [FinishedMsg("ds:x", -1)], 0)
         assert state.done and assemble_payload(state) == b""
+
+    @pytest.mark.parametrize("last, kept", [
+        (63, 63), (64, None), (70_000, None), (2_000_000, None), (-2, None)])
+    def test_finished_outside_the_transfer_is_ignored(self, last, kept):
+        """An end past the last chunk would make the retry list every
+        sequence up to it; an end below -1 would complete the transfer
+        with nothing."""
+        state = ReceiverState("urn:d", R1, max_chunks=64, ready_sent=True)
+        state, out, _ = receiver_step(state, [DataMsg("urn:d", 0, b"a")], 0)
+        state, more, _ = receiver_step(state, [FinishedMsg("urn:d", last)], 10)
+        out += more
+        state, more, _ = receiver_step(state, [], 200)
+        out += more
+        assert state.last_sequence == kept and not state.done and not state.failed
+        assert all(encode_frame(m) for m in out)
+        resends = {m.sequences for m in out if isinstance(m, ResendRequestMsg)}
+        assert resends == ({tuple(range(1, 64))} if kept else set())
 
 
 class TestPlanTransfer:
@@ -339,6 +363,28 @@ class TestEndToEnd:
         _, _, sink, failures = wire_sessions(sim, payload, ["r1"], chunk_size=100)
         sim.advance(60_000)
         assert failures["r1"] and sink["r1"] == []
+
+    def test_stray_out_of_range_ends_leave_the_transfer_whole(self):
+        """An endpoint outside the transfer sends an end far past the
+        last chunk every 10 ms; every receiver still commits the payload."""
+        payload = random.Random(5).randbytes(64 * 4096)
+        sim = NetworkSim(5, policy=LinkPolicy(("uniform", 1, 10), loss=0.2))
+        names = ["r0", "r1", "r2"]
+        outcomes = {}
+        experiments._wire_transfer(
+            sim, "urn:d", payload, 4096, "sender",
+            {n: hashlib.md5(n.encode()).digest() for n in names},
+            outcomes.__setitem__, lambda n: outcomes.__setitem__(n, None),
+            experiments._endpoint_attach(sim))
+
+        def stray(now):
+            sim.send(encode_frame(FinishedMsg("urn:d", 70_000)), "mallory")
+            sim.call_later(10, stray)
+
+        sim.register("mallory", lambda src, frame, now: None)
+        sim.call_at(0, stray)
+        sim.advance(20_000)
+        assert outcomes == {n: payload for n in names}
 
 
 class CountingDict(dict):

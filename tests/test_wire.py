@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from graphsync.revisions import (
 )
 from graphsync.triples import Delta, canonical_delta_bytes, triple
 from graphsync.wire import (
+    MAX_ROUND,
+    MAX_WANTED,
     AgentId,
     DataMsg,
     ErrorMsg,
@@ -245,6 +249,20 @@ def test_malformed_frames_rejected():
 def test_empty_wanted_list_rejected():
     with pytest.raises(ValueError):
         RevisionRequestMsg("doc:map", ALICE.uuid, ())
+
+
+def test_limits_are_the_widest_values_the_fields_carry():
+    def request(n):
+        return RevisionRequestMsg("doc:map", ALICE.uuid, (b"\x11" * 64,) * n)
+
+    def vote(rnd):
+        return VoteMsg("doc:map", ALICE.uuid, BOB.uuid, rnd, 0, 0)
+
+    for msg in (request(MAX_WANTED), vote(MAX_ROUND)):
+        assert roundtrip(msg) == msg
+    for msg in (request(MAX_WANTED + 1), vote(MAX_ROUND + 1)):
+        with pytest.raises(struct.error):
+            encode_frame(msg)
 
 
 # ---------------------------------------------------------------------------
