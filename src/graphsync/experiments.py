@@ -15,6 +15,7 @@ import hashlib
 import os
 import random
 import time
+from itertools import accumulate
 from math import fsum
 from operator import mul
 from statistics import correlation, fmean
@@ -191,9 +192,11 @@ def run_merge_scaling(out_dir, revisions: int = 200, triple_counts=(10, 100)) ->
                 per_index = [min(a, b) for a, b in zip(per_index, run_times)]
             else:
                 per_index = run_times
-            assert len(gor.heads()) == 1
+            if len(gor.heads()) != 1:
+                raise RuntimeError(f"{len(gor.heads())} heads left after merging")
             final_triples = len(gor.materialize(merged))
-            assert final_triples == 5 + revisions * n_triples
+            if final_triples != 5 + revisions * n_triples:
+                raise RuntimeError(f"{final_triples} triples after merging")
         cumulative = 0.0
         cumulatives = []
         for k, dt in enumerate(per_index, start=1):
@@ -899,6 +902,27 @@ def verify_run(out_dir) -> tuple[bool, list[str]]:
         lines.append(f"[{'PASS' if clean else 'FAIL'}] transfer-fuzz.csv: "
                      f"{len(rows)} runs committed identical bytes")
 
+    scaling = os.path.join(out_dir, "merge-scaling.csv")
+    if os.path.exists(scaling):
+        checked += 1
+        by_size: dict[str, list] = {}
+        for r in _read_csv(scaling):
+            by_size.setdefault(r["triples_per_revision"], []).append(r)
+        for size, rows in by_size.items():
+            gapless = [int(r["merge_index"]) for r in rows] == list(range(1, len(rows) + 1))
+            # each value is printed to 1e-9 s, so the k-th total and the
+            # sum of k printed singles differ by less than k + 1 such units
+            sums = accumulate(float(r["single_seconds"]) for r in rows)
+            summed = all(abs(total - float(r["cumulative_seconds"])) <= (k + 1) * 1e-9
+                         for k, (total, r) in enumerate(zip(sums, rows), start=1))
+            ok &= gapless and summed
+            lines.append(f"[{'PASS' if gapless else 'FAIL'}] merge-scaling.csv: triples={size} "
+                         f"merge_index runs 1..{len(rows)} without a gap")
+            lines.append(f"[{'PASS' if summed else 'FAIL'}] merge-scaling.csv: triples={size} "
+                         "cumulative_seconds is the running sum of single_seconds")
+
     if checked == 0:
-        lines.append("[WARN] nothing to verify (empty output directory); vacuously ok")
+        names = sorted(os.listdir(out_dir))
+        why = f"no known output among {', '.join(names)}" if names else "empty output directory"
+        lines.append(f"[WARN] nothing to verify ({why}); vacuously ok")
     return ok, lines

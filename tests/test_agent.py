@@ -2,11 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphsync.agent as agent_mod
 from graphsync.agent import POLICY_MERGE_ONLY, SyncAgent, SyncConfig
 from graphsync.netsim import LinkPolicy, NetworkSim, Topology
 from graphsync.revisions import ROOT_REVISION, ParentLink, make_revision
+from graphsync.transfer import ReceiverSession, SenderSession, split_chunks
 from graphsync.triples import Delta, triple
 from graphsync.wire import (
     KIND_REVISION,
@@ -21,6 +24,8 @@ from graphsync.wire import (
     decode_frame,
     encode_frame,
 )
+
+from test_wire import message_kinds, uuids
 
 DOC = "doc:map"
 
@@ -515,3 +520,64 @@ class TestNumbersFromPeers:
                   for h in decode_frame(f).wanted]
         assert wanted == digests
         assert set(doc.outstanding) == set(digests)
+
+
+def outside_frames(live_uri, known):
+    """Frames of every message kind, each for live_uri or an unknown URI
+    and naming a uuid from known or a fresh one."""
+    kinds = message_kinds(st.sampled_from([live_uri, "urn:unknown"]),
+                          st.one_of(uuids, st.sampled_from(known)))
+    return st.lists(kinds.map(encode_frame), min_size=1, max_size=6)
+
+
+def answers_decode(sim, frames, until):
+    """Send frames from an outside endpoint, run sim until the given
+    time, and require every frame sent in answer to decode."""
+    sim.register("mallory", lambda src, frame, now: None)
+    for frame in frames:
+        sim.send(frame, "mallory")
+    answers = recorded(sim)
+    sim.advance(until)
+    for frame in answers:
+        decode_frame(frame)
+
+
+class TestEveryMessageKindFromOutside:
+    """Whatever an agent or a transfer session sends in answer to a
+    decodable frame from outside encodes, and nothing escapes the
+    simulator."""
+
+    # make_team and the transfer world both give agent i uuid bytes([i + 1]) * 16
+    KNOWN = [bytes([i + 1]) * 16 for i in range(3)]
+    DATASET = "ds:scan"
+
+    @settings(max_examples=100, deadline=None)
+    @given(outside_frames(DOC, KNOWN))
+    def test_team_after_its_election(self, frames):
+        sim, agents = make_team(3)
+        sim.advance(9000)
+        assert {ag.documents[DOC].master for ag in agents} == {self.KNOWN[0]}
+        answers_decode(sim, frames, 12_000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(outside_frames(DATASET, KNOWN))
+    def test_holder_and_receivers_mid_transfer(self, frames):
+        dataset, payload, chunk_size = self.DATASET, bytes(range(256)) * 16, 512
+        sim = NetworkSim(1, policy=LinkPolicy(("uniform", 1, 10), loss=0.2))
+        agents = [SyncAgent(AgentId(uuid, name), sim, rng=random.Random(i))
+                  for i, (uuid, name) in enumerate(zip(self.KNOWN, ["holder", "rx0", "rx1"]))]
+        for agent in agents:
+            sim.register(agent.name, agent.on_frame)
+        holder, receivers = agents[0], agents[1:]
+        holder.attach_transfer(dataset, SenderSession(
+            dataset, payload, {rx.ident.uuid for rx in receivers},
+            send=lambda m: sim.send(encode_frame(m), "holder"),
+            schedule=sim.call_later, chunk_size=chunk_size))
+        for rx in receivers:
+            rx.attach_transfer(dataset, ReceiverSession(
+                dataset, rx.ident.uuid, max_chunks=len(split_chunks(payload, chunk_size)),
+                send=lambda m, n=rx.name: sim.send(encode_frame(m), n),
+                schedule=sim.call_later, commit=lambda data: None, abort=lambda: None,
+                chunk_size=chunk_size))
+        sim.advance(20)
+        answers_decode(sim, frames, 5000)

@@ -121,6 +121,45 @@ class TestVerify:
         ok, lines = experiments.verify_run(tmp_path)
         assert ok and lines[0].startswith("[WARN]")
 
+    def test_verify_names_files_it_does_not_know(self, tmp_path):
+        for name in ("notes.txt", "a.csv"):
+            (tmp_path / name).write_text("x\n")
+        ok, lines = experiments.verify_run(tmp_path)
+        assert ok
+        assert lines == ["[WARN] nothing to verify (no known output among a.csv, notes.txt); "
+                         "vacuously ok"]
+
+    def test_verify_checks_merge_scaling(self, tmp_path):
+        assert main(["run", "merge-scaling", "--seed", "1", "--revisions", "20",
+                     "--out", str(tmp_path)]) == 0
+        ok, lines = experiments.verify_run(tmp_path)
+        assert ok, lines
+        assert lines == [
+            f"[PASS] merge-scaling.csv: triples={n} {check}"
+            for n in (10, 100)
+            for check in ("merge_index runs 1..19 without a gap",
+                          "cumulative_seconds is the running sum of single_seconds")
+        ]
+
+    @pytest.mark.parametrize("tamper,failed", [
+        ("drop", ["merge_index runs 1..18 without a gap",
+                  "cumulative_seconds is the running sum of single_seconds"]),
+        ("single", ["cumulative_seconds is the running sum of single_seconds"]),
+    ])
+    def test_verify_fails_on_tampered_merge_scaling(self, tmp_path, tamper, failed):
+        experiments.run_merge_scaling(tmp_path, revisions=20, triple_counts=(10,))
+        path = tmp_path / "merge-scaling.csv"
+        rows = path.read_text().splitlines()
+        if tamper == "drop":
+            del rows[5]
+        else:
+            size, index, single, total = rows[5].split(",")
+            rows[5] = f"{size},{index},{float(single) + 1e-6:.9f},{total}"
+        path.write_text("\n".join(rows) + "\n")
+        ok, lines = experiments.verify_run(tmp_path)
+        assert not ok
+        assert [l.split(": triples=10 ")[1] for l in lines if l.startswith("[FAIL]")] == failed
+
 
 class TestScenarioRunner:
     SCN = """

@@ -676,6 +676,34 @@ def heads_by_scan(gor):
     return {h for h in gor._revs if not gor._children.get(h)}
 
 
+def common_ancestor_by_reaches(gor, a, b):
+    """Reference for `common_ancestor`: when one head is an ancestor of
+    the other (a plain walk over the history, asked both ways), that
+    head; otherwise the revision reached from both with the least summed
+    breadth-first distance, then the smaller digest."""
+    gor.get(a), gor.get(b)
+    if a == b or ancestor_by_walk(gor, a, b):
+        return a
+    if ancestor_by_walk(gor, b, a):
+        return b
+    dist_a, dist_b = bfs_distances(gor, a), bfs_distances(gor, b)
+    return min(dist_a.keys() & dist_b.keys(), key=lambda h: (dist_a[h] + dist_b[h], h))
+
+
+def bfs_distances(gor, start):
+    """Unit-weight distance from start to every present ancestor."""
+    dist, frontier = {start: 0}, [start]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for link in gor.get(h).parents:
+                if link.parent not in dist:
+                    dist[link.parent] = dist[h] + 1
+                    nxt.append(link.parent)
+        frontier = nxt
+    return dist
+
+
 def resolved_by_dfs(gor, h):
     """Reference for `resolved`: walk every ancestor of h."""
     stack, seen = [h], set()
@@ -760,6 +788,63 @@ class TestIncrementalIndexes:
         gor.insert(r1)
         assert all(gor.resolved(r.hash) for r in (r1, r2, r3))
         assert gor.heads() == {r3.hash}
+
+
+class TestCommonAncestorAgainstReaches:
+    @settings(max_examples=200, deadline=None)
+    @given(revision_dags(), st.integers(0, 10))
+    def test_every_resolved_pair_matches_the_reference(self, order, held_back):
+        """Every ordered pair of resolved revisions, the pairs where one
+        is an ancestor of the other and each revision with itself
+        included, gets the reference's answer."""
+        gor = GraphOfRevisions("doc:ancestor")
+        for rev, _ in order[:max(0, len(order) - held_back)]:
+            gor.insert(rev)
+        resolved = sorted(h for h in gor._revs if gor.resolved(h))
+        for a in resolved:
+            for b in resolved:
+                assert gor.common_ancestor(a, b) == common_ancestor_by_reaches(gor, a, b)
+
+    def test_random_dags_with_merges_match_the_reference(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            gor, _ = random_dag(rng, rng.randrange(4, 16), merge_prob=0.4)
+            hashes = sorted(r.hash for r in gor.revisions())
+            for _ in range(20):
+                a, b = rng.choice(hashes), rng.choice(hashes)
+                assert gor.common_ancestor(a, b) == common_ancestor_by_reaches(gor, a, b)
+
+
+class TestMergeCache:
+    @settings(max_examples=200, deadline=None)
+    @given(revision_dags(), st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+    def test_fresh_graph_materializes_every_merge_to_the_merged_graph(self, order, picks):
+        """Merge pairs of revisions that materialize and where neither is
+        an ancestor of the other, earlier merges among them, then give
+        the same revisions to a graph with nothing cached: each merge
+        materializes there to the graph `merge_revision` cached, and to
+        the fold.  (Most heads of a drawn DAG sit above a two-parent
+        revision whose paths disagree, so the pairs are not limited to
+        heads.)"""
+        gor = GraphOfRevisions("doc:merge-cache")
+        for rev, _ in order:
+            gor.insert(rev)
+        merged = {}
+        for step, i in enumerate(picks):
+            ready = [h for h in sorted(gor._revs)
+                     if outcome(gor.materialize, h) is not MergePathDivergence]
+            pairs = [(a, b) for a in ready for b in ready if a < b
+                     and not ancestor_by_walk(gor, a, b) and not ancestor_by_walk(gor, b, a)]
+            if not pairs:
+                break
+            m = merge_revision(gor, *pairs[i % len(pairs)], A_M, 100 + step)
+            merged[m.hash] = gor._mat[m.hash]
+        fresh = GraphOfRevisions("doc:merge-cache")
+        for rev in gor.revisions():
+            fresh.insert(rev)
+        assert set(fresh._mat) == {ROOT_REVISION.hash}
+        for h, graph in merged.items():
+            assert fresh.materialize(h) == graph == materialize_by_fold(fresh, h)
 
 
 # -- is_ancestor memo ----------------------------------------------------------

@@ -272,25 +272,33 @@ def test_limits_are_the_widest_values_the_fields_carry():
 uris = st.text(max_size=12)
 uuids = st.binary(min_size=16, max_size=16)
 digests = st.binary(min_size=64, max_size=64)
-agents = st.builds(AgentId, uuids, st.text(max_size=8), st.binary(max_size=8))
 int64s = st.integers(-(2**63), 2**63 - 1)
 revisions = st.builds(
     make_revision, uuids, int64s,
     st.lists(st.builds(ParentLink, digests, deltas), min_size=1, max_size=2),
 )
-messages = st.one_of(
-    st.builds(StatusMsg, agents, uris, digests, st.booleans()),
-    st.builds(RevisionMsg, uris, revisions),
-    st.builds(RevisionRequestMsg, uris, uuids, st.lists(digests, min_size=1, max_size=3).map(tuple)),
-    st.builds(VoteMsg, uris, uuids, uuids, st.integers(0, 2**32 - 1), int64s, int64s),
-    st.builds(ReadyMsg, uris, uuids),
-    st.builds(DataMsg, uris, st.integers(0, 2**64 - 1), st.binary(max_size=32)),
-    st.builds(ResendRequestMsg, uris, uuids, st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple)),
-    st.builds(ErrorMsg, uris, uuids),
-    st.builds(ThrottleUpMsg, uris, uuids),
-    st.builds(ThrottleDownMsg, uris, uuids),
-    st.builds(FinishedMsg, uris, int64s),
-)
+
+
+def message_kinds(uris, ids=uuids):
+    """A message of any kind, its document or dataset URI drawn from uris
+    and its agent uuids from ids."""
+    agents = st.builds(AgentId, ids, st.text(max_size=8), st.binary(max_size=8))
+    return st.one_of(
+        st.builds(StatusMsg, agents, uris, digests, st.booleans()),
+        st.builds(RevisionMsg, uris, revisions),
+        st.builds(RevisionRequestMsg, uris, ids, st.lists(digests, min_size=1, max_size=3).map(tuple)),
+        st.builds(VoteMsg, uris, ids, ids, st.integers(0, 2**32 - 1), int64s, int64s),
+        st.builds(ReadyMsg, uris, ids),
+        st.builds(DataMsg, uris, st.integers(0, 2**64 - 1), st.binary(max_size=32)),
+        st.builds(ResendRequestMsg, uris, ids, st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple)),
+        st.builds(ErrorMsg, uris, ids),
+        st.builds(ThrottleUpMsg, uris, ids),
+        st.builds(ThrottleDownMsg, uris, ids),
+        st.builds(FinishedMsg, uris, int64s),
+    )
+
+
+messages = message_kinds(uris)
 
 
 @settings(max_examples=300, deadline=None)
