@@ -262,8 +262,7 @@ class SyncAgent:
             self._request(doc, [msg.head_hash], now)
 
         self._check_election_needed(doc, now)
-        if doc.master == self.ident.uuid:
-            self._run_master_merges(doc, now)
+        self._run_master_merges(doc, now)
 
     def _check_election_needed(self, doc: DocState, now: int) -> None:
         if doc.election is not None:
@@ -310,8 +309,7 @@ class SyncAgent:
         self._advance_own_head(doc)
         if rev.is_merge and self.config.policy != POLICY_MERGE_ONLY:
             self._try_rebase(doc, rev.hash, now)
-        if doc.master == self.ident.uuid:
-            self._run_master_merges(doc, now)
+        self._run_master_merges(doc, now)
 
     def _advance_own_head(self, doc: DocState) -> None:
         """Fast-forward onto a resolved head that descends from ours."""
@@ -509,8 +507,7 @@ class SyncAgent:
             if doc.election is not None and now >= doc.election.deadline:
                 self._resolve_election(doc, now)
 
-            if doc.master == self.ident.uuid:
-                self._run_master_merges(doc, now)
+            self._run_master_merges(doc, now)
 
     # what on_frame calls for each document message
     _DOC_HANDLERS = {

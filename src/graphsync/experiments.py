@@ -834,95 +834,94 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
     return {"documents": documents, "agents": list(agents)}
 
 
+def _check_summary(out_dir, rows):
+    by_doc: dict[str, list] = {}
+    for r in rows:
+        by_doc.setdefault(r.get("document", "doc"), []).append(r)
+    for doc_uri, doc_rows in by_doc.items():
+        yield len({r["head_hash"] for r in doc_rows}) == 1, f"{doc_uri}: all heads equal"
+        yield sum(int(r["is_master"]) for r in doc_rows) == 1, f"{doc_uri}: exactly one master"
+
+
+def _check_events(out_dir, rows):
+    times = [int(r["time_ms"]) for r in rows]
+    yield (all(a <= b for a, b in zip(times, times[1:])),
+           f"events.csv: timestamps monotone ({len(rows)} events)")
+
+
+def _check_payloads(out_dir, rows):
+    intact = 0
+    for r in rows:
+        store = PayloadStore(os.path.join(out_dir, f"store-{r['holder']}"))
+        dataset, digest = r["dataset"], r["sha256"]
+        try:
+            intact += hashlib.sha256(store.load(dataset).data()).hexdigest() == digest
+        except Exception:
+            pass
+    yield intact == len(rows), f"payloads.csv: {intact}/{len(rows)} payloads hash-intact"
+
+
+def _check_transfer_fuzz(out_dir, rows):
+    yield (all(r["all_committed_identical"] == "1" for r in rows),
+           f"transfer-fuzz.csv: {len(rows)} runs committed identical bytes")
+
+
+def _check_merge_scaling(out_dir, rows):
+    by_size: dict[str, list] = {}
+    for r in rows:
+        by_size.setdefault(r["triples_per_revision"], []).append(r)
+    for size, group in by_size.items():
+        gapless = [int(r["merge_index"]) for r in group] == list(range(1, len(group) + 1))
+        # each value is printed to 1e-9 s, so the k-th total and the
+        # sum of k printed singles differ by less than k + 1 such units
+        sums = accumulate(float(r["single_seconds"]) for r in group)
+        summed = all(abs(total - float(r["cumulative_seconds"])) <= (k + 1) * 1e-9
+                     for k, (total, r) in enumerate(zip(sums, group), start=1))
+        yield gapless, (f"merge-scaling.csv: triples={size} "
+                        f"merge_index runs 1..{len(group)} without a gap")
+        yield summed, (f"merge-scaling.csv: triples={size} "
+                       "cumulative_seconds is the running sum of single_seconds")
+
+
+# each CSV a run writes, and the check that yields (passed, text) per line
+_CSV_CHECKS = (
+    ("summary.csv", _check_summary),
+    ("events.csv", _check_events),
+    ("payloads.csv", _check_payloads),
+    ("transfer-fuzz.csv", _check_transfer_fuzz),
+    ("merge-scaling.csv", _check_merge_scaling),
+)
+
+
 def verify_run(out_dir) -> tuple[bool, list[str]]:
-    """Offline re-checks of a run directory; returns (ok, report lines)."""
-    lines = []
-    ok = True
+    """Offline re-checks of a run directory; returns (ok, report lines).
+    A CSV with a missing column or a value that does not parse gets one
+    failed line naming it in place of its checks."""
+    results = []
     checked = 0
-
-    summary = os.path.join(out_dir, "summary.csv")
-    if os.path.exists(summary):
-        checked += 1
-        rows = _read_csv(summary)
-        by_doc: dict[str, list] = {}
-        for r in rows:
-            by_doc.setdefault(r.get("document", "doc"), []).append(r)
-        for doc_uri, doc_rows in by_doc.items():
-            heads = {r["head_hash"] for r in doc_rows}
-            masters = sum(int(r["is_master"]) for r in doc_rows)
-            conv = len(heads) == 1
-            single = masters == 1
-            ok &= conv and single
-            lines.append(f"[{'PASS' if conv else 'FAIL'}] {doc_uri}: all heads equal")
-            lines.append(f"[{'PASS' if single else 'FAIL'}] {doc_uri}: exactly one master")
-
-    logs = [f for f in sorted(os.listdir(out_dir)) if f.endswith(".log")]
-    for log in logs:
+    for name, check in _CSV_CHECKS:
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path):
+            continue
         checked += 1
         try:
-            gor, head = load_document(os.path.join(out_dir, log))
-            lines.append(f"[PASS] {log}: hash-verified reload, head {head.hex()[:12]}")
+            results += list(check(out_dir, _read_csv(path)))
+        except KeyError as exc:
+            results.append((False, f"{name}: missing column {exc}"))
+        except (ValueError, TypeError, csv.Error) as exc:
+            results.append((False, f"{name}: unparseable value ({exc})"))
+
+    for log in sorted(f for f in os.listdir(out_dir) if f.endswith(".log")):
+        checked += 1
+        try:
+            _, head = load_document(os.path.join(out_dir, log))
+            results.append((True, f"{log}: hash-verified reload, head {head.hex()[:12]}"))
         except Exception as exc:
-            ok = False
-            lines.append(f"[FAIL] {log}: {exc}")
+            results.append((False, f"{log}: {exc}"))
 
-    events = os.path.join(out_dir, "events.csv")
-    if os.path.exists(events):
-        checked += 1
-        rows = _read_csv(events)
-        times = [int(r["time_ms"]) for r in rows]
-        monotone = all(a <= b for a, b in zip(times, times[1:]))
-        ok &= monotone
-        lines.append(f"[{'PASS' if monotone else 'FAIL'}] events.csv: timestamps monotone "
-                     f"({len(rows)} events)")
-
-    manifest = os.path.join(out_dir, "payloads.csv")
-    if os.path.exists(manifest):
-        checked += 1
-        rows = _read_csv(manifest)
-        intact = 0
-        for r in rows:
-            store = PayloadStore(os.path.join(out_dir, f"store-{r['holder']}"))
-            try:
-                data = store.load(r["dataset"]).data()
-                good = hashlib.sha256(data).hexdigest() == r["sha256"]
-            except Exception:
-                good = False
-            ok &= good
-            intact += int(good)
-        lines.append(f"[{'PASS' if intact == len(rows) else 'FAIL'}] payloads.csv: "
-                     f"{intact}/{len(rows)} payloads hash-intact")
-
-    fuzz = os.path.join(out_dir, "transfer-fuzz.csv")
-    if os.path.exists(fuzz):
-        checked += 1
-        rows = _read_csv(fuzz)
-        clean = all(r["all_committed_identical"] == "1" for r in rows)
-        ok &= clean
-        lines.append(f"[{'PASS' if clean else 'FAIL'}] transfer-fuzz.csv: "
-                     f"{len(rows)} runs committed identical bytes")
-
-    scaling = os.path.join(out_dir, "merge-scaling.csv")
-    if os.path.exists(scaling):
-        checked += 1
-        by_size: dict[str, list] = {}
-        for r in _read_csv(scaling):
-            by_size.setdefault(r["triples_per_revision"], []).append(r)
-        for size, rows in by_size.items():
-            gapless = [int(r["merge_index"]) for r in rows] == list(range(1, len(rows) + 1))
-            # each value is printed to 1e-9 s, so the k-th total and the
-            # sum of k printed singles differ by less than k + 1 such units
-            sums = accumulate(float(r["single_seconds"]) for r in rows)
-            summed = all(abs(total - float(r["cumulative_seconds"])) <= (k + 1) * 1e-9
-                         for k, (total, r) in enumerate(zip(sums, rows), start=1))
-            ok &= gapless and summed
-            lines.append(f"[{'PASS' if gapless else 'FAIL'}] merge-scaling.csv: triples={size} "
-                         f"merge_index runs 1..{len(rows)} without a gap")
-            lines.append(f"[{'PASS' if summed else 'FAIL'}] merge-scaling.csv: triples={size} "
-                         "cumulative_seconds is the running sum of single_seconds")
-
+    lines = [f"[{'PASS' if good else 'FAIL'}] {text}" for good, text in results]
     if checked == 0:
         names = sorted(os.listdir(out_dir))
         why = f"no known output among {', '.join(names)}" if names else "empty output directory"
         lines.append(f"[WARN] nothing to verify ({why}); vacuously ok")
-    return ok, lines
+    return all(good for good, _ in results), lines

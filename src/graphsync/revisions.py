@@ -135,9 +135,12 @@ class GraphOfRevisions:
     merge's parents.  ``_local`` holds the unpublished revisions, the
     only ones that may be rebased, squashed or removed.
 
-    Two indexes are kept up to date by `insert` and `remove`, so the
-    per-frame queries `heads` and `resolved` cost no history walk:
+    Three indexes are kept up to date by `insert` and `remove`, so the
+    per-frame queries cost no walk down the history:
 
+    * ``_children`` maps each present revision, and each missing parent
+      of one, to its present children; `is_ancestor` walks up through
+      it, so it costs the present descendants of its first argument;
     * ``_heads`` holds exactly the present revisions without a present
       child;
     * ``_resolved`` holds exactly the present revisions whose every
@@ -156,8 +159,6 @@ class GraphOfRevisions:
         self._resolved: set[bytes] = {ROOT_REVISION.hash}
         # a dict for its insertion order: `unpublished` lists oldest first
         self._local: dict[bytes, None] = {}
-        # (a, b) -> is_ancestor(a, b), for resolved b only
-        self._ancestry: dict[tuple[bytes, bytes], bool] = {}
 
     # -- basic access -------------------------------------------------
 
@@ -232,7 +233,6 @@ class GraphOfRevisions:
                 raise NotLocal(h.hex())
             if self._children.get(h, set()) - doomed:
                 raise ValueError("cannot remove a revision with live children")
-        self._ancestry.clear()
         for h in doomed:
             rev = self._revs.pop(h)
             self._children.pop(h, None)
@@ -269,35 +269,18 @@ class GraphOfRevisions:
     def is_ancestor(self, a: bytes, b: bytes) -> bool:
         """Strict ancestry: a is reachable from b via parent links.
 
-        The answer is memoized when b is resolved: b's ancestry is fixed
-        by its digest and all of it is present, so no later insert can
-        change it.  For an unresolved b the partial history is walked on
-        every call.  `remove` clears the memo."""
-        if a == b:
-            return False
-        if b not in self._resolved:
-            return self._reaches(a, b)
-        key = (a, b)
-        found = self._ancestry.get(key)
-        if found is None:
-            found = self._ancestry[key] = self._reaches(a, b)
-        return found
-
-    def _reaches(self, a: bytes, b: bytes) -> bool:
-        """Walk the present history above b, looking for a."""
-        stack, seen = [b], set()
+        A depth-first walk up from a through ``_children`` that stops at
+        b, so a miss costs the present descendants of a: few when a is a
+        recent head, as the agent's calls pass.  a itself may be missing;
+        its present children are indexed all the same."""
+        stack, seen = [a], {a}
         while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            rev = self._revs.get(cur)
-            if rev is None:
-                continue
-            for link in rev.parents:
-                if link.parent == a:
+            for child in self._children.get(stack.pop(), ()):
+                if child == b:
                     return True
-                stack.append(link.parent)
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
         return False
 
     def common_ancestor(self, a: bytes, b: bytes) -> bytes:

@@ -160,6 +160,23 @@ class TestVerify:
         assert not ok
         assert [l.split(": triples=10 ")[1] for l in lines if l.startswith("[FAIL]")] == failed
 
+    @pytest.mark.parametrize("name,text,why", [
+        ("summary.csv", "a,b\n1,2\n", "missing column 'head_hash'"),
+        ("summary.csv", "head_hash,is_master\nab,yes\n", "unparseable value"),
+        ("events.csv", "time\n1\n", "missing column 'time_ms'"),
+        ("events.csv", "time_ms\n1\nlater\n", "unparseable value"),
+        ("payloads.csv", "holder,dataset\nh,ds:x\n", "missing column 'sha256'"),
+        ("transfer-fuzz.csv", "run\n1\n", "missing column 'all_committed_identical'"),
+        ("merge-scaling.csv", "triples_per_revision,merge_index,single_seconds\n10,1,0.1\n",
+         "missing column 'cumulative_seconds'"),
+    ], ids=["summary-column", "summary-value", "events-column", "events-value",
+            "payloads-column", "transfer-fuzz-column", "merge-scaling-column"])
+    def test_bad_csv_is_one_failed_line(self, tmp_path, capsys, name, text, why):
+        (tmp_path / name).write_text(text)
+        assert main(["verify", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith(f"[FAIL] {name}: {why}")
+
 
 class TestScenarioRunner:
     SCN = """

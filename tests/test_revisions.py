@@ -722,15 +722,28 @@ def resolved_by_dfs(gor, h):
 @st.composite
 def revision_dags(draw):
     """(revision, local) pairs: each revision's parents are one or two
-    earlier revisions (or the root), in an order drawn independently."""
-    revs = []
+    earlier revisions (or the root), in an order drawn independently.
+    Part of the two-parent revisions are made by `merge_revision` on a
+    scratch graph, from two revisions that materialize and where neither
+    is an ancestor of the other, so they materialize too; the others
+    carry one-triple links from any parents, so their paths mostly
+    diverge."""
+    revs, scratch = [], GraphOfRevisions("doc:scratch")
     for i in range(draw(st.integers(1, 10))):
         pool = [ROOT_REVISION.hash] + [r.hash for r, _ in revs]
-        parents = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
-        links = tuple(ParentLink(p, Delta.of({T[(i + k) % len(T)]}, ()))
-                      for k, p in enumerate(parents))
-        revs.append((make_revision(draw(st.sampled_from([A_B, A_C])), i + 1, links),
-                     draw(st.booleans())))
+        author = draw(st.sampled_from([A_B, A_C]))
+        ready = [h for h in pool if outcome(scratch.materialize, h) is not MergePathDivergence]
+        pairs = [(a, b) for a in ready for b in ready if a < b
+                 and not ancestor_by_walk(scratch, a, b) and not ancestor_by_walk(scratch, b, a)]
+        if pairs and draw(st.booleans()):
+            rev = merge_revision(scratch, *draw(st.sampled_from(pairs)), author, i + 1)
+        else:
+            parents = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+            links = tuple(ParentLink(p, Delta.of({T[(i + k) % len(T)]}, ()))
+                          for k, p in enumerate(parents))
+            rev = make_revision(author, i + 1, links)
+            scratch.insert(rev)
+        revs.append((rev, draw(st.booleans())))
     return draw(st.permutations(revs))
 
 
@@ -847,7 +860,7 @@ class TestMergeCache:
             assert fresh.materialize(h) == graph == materialize_by_fold(fresh, h)
 
 
-# -- is_ancestor memo ----------------------------------------------------------
+# -- is_ancestor ---------------------------------------------------------------
 
 
 def ancestor_by_walk(gor, a, b):
@@ -869,15 +882,30 @@ def ancestor_by_walk(gor, a, b):
     return False
 
 
-class TestAncestryMemo:
+class CountingDict(dict):
+    """A dict that counts its key lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class TestAncestry:
     @staticmethod
     def assert_ancestry_matches(gor, seen):
         for b in seen:
             for a in seen:
                 assert gor.is_ancestor(a, b) == ancestor_by_walk(gor, a, b)
-        # the memo holds true answers for resolved revisions only
-        for (a, b), found in gor._ancestry.items():
-            assert gor.resolved(b) and found == ancestor_by_walk(gor, a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(revision_dags(), st.integers(0, 10), OPS)
@@ -914,6 +942,22 @@ class TestAncestryMemo:
         for rev in removed:
             gor.insert(rev, local=True)
             self.assert_ancestry_matches(gor, seen)
+
+    def test_walk_reaches_only_the_descendants_of_a(self):
+        """Asked about the tip of a 2 000-revision chain and a sibling
+        of the tip, the answer comes from the tip's (absent) children,
+        not from a walk down the sibling's history to the root."""
+        gor = GraphOfRevisions("doc:reach")
+        chain = [ROOT_REVISION.hash]
+        for ts in range(1, 2001):
+            chain.append(rev_on(gor, chain[-1], Delta.of({T[ts % 10]}, ()), ts=ts).hash)
+        sibling = rev_on(gor, chain[-2], Delta.of({T[0]}, ()), author=A_C, ts=2000).hash
+        gor._revs, gor._children = CountingDict(gor._revs), CountingDict(gor._children)
+        assert not gor.is_ancestor(chain[-1], sibling)
+        assert gor.is_ancestor(chain[-2], sibling)
+        lookups = gor._revs.lookups + gor._children.lookups
+        assert lookups <= 6
+        assert gor.is_ancestor(chain[0], sibling) and not gor.is_ancestor(sibling, chain[0])
 
 
 # -- materialization against the fold -------------------------------------
