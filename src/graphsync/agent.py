@@ -267,8 +267,7 @@ class SyncAgent:
     def _check_election_needed(self, doc: DocState, now: int) -> None:
         if doc.election is not None:
             return
-        known = set(doc.peers) | {self.ident.uuid}
-        if min(known) != self.ident.uuid:
+        if doc.peers and min(doc.peers) < self.ident.uuid:
             return
         masters = {u for u, p in doc.peers.items() if p.status.is_merge_master}
         if doc.master == self.ident.uuid:

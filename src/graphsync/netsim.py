@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -46,9 +45,18 @@ class LinkPolicy:
             raise ValueError(f"latency {self.latency!r} cannot be drawn")
 
     def draw_latency(self, rng: random.Random) -> int:
-        if self.latency[0] == "fixed":
-            return self.latency[1]
-        return rng.randint(self.latency[1], self.latency[2])
+        latency = self.latency
+        if latency[0] == "fixed":
+            return latency[1]
+        # rng.randint(lo, hi) bit for bit: the getrandbits rejection
+        # loop of Random._randbelow, without randint's call chain
+        lo = latency[1]
+        n = latency[2] - lo + 1
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return lo + r
 
 
 @dataclass
@@ -63,6 +71,15 @@ class Topology:
 class NetworkSim:
     """The event loop of one simulated world.
 
+    Events are queued in buckets, one list per due millisecond, in the
+    order they were scheduled, with a heap of the distinct due times
+    (a calendar queue in the manner of Brown, CACM 1988): a delivery
+    costs one list append, not a heap entry.  `advance` drains the
+    earliest bucket from front to back, and an event scheduled for the
+    current millisecond while it does so joins the end of that bucket,
+    so events run in (time, insertion) order, exactly as a heap of
+    (time, sequence number) would run them.
+
     Whether a link is up is answered from state, not from a scan of the
     schedules.  Every partition and group-offline window edge splits the
     timeline into spans on which the group state (partition up or not,
@@ -71,9 +88,12 @@ class NetworkSim:
     when asked about a time outside it, so queries may come at any time,
     in any order.  `set_partition` and `set_group_offline` invalidate
     it.  Group membership is read from ``topology.groups`` on each call.
-    Pair blocks are checked per pair, and only when there are any.  The
-    sorted broadcast targets of each sender are built on its first
-    broadcast and dropped by `register`.
+    Pair blocks are checked per pair, and only when there are any.
+    `send` and `advance` ask `connected` only about a pair that spans
+    two groups or while any pair is blocked, and not at all at a time
+    inside the last span found to have every group up and no pair
+    blocked.  The sorted broadcast targets of each sender are built on
+    its first broadcast and dropped by `register`.
 
     Each call to `send` decodes its frame at most once: all the copies
     it queues share one ``[frame, message]`` cell, the first receiver
@@ -94,10 +114,12 @@ class NetworkSim:
         self.policy = policy or LinkPolicy()
         self.topology = topology or Topology()
         self._now = 0
-        self._seq = itertools.count()
-        # (time, seq, 0, fn) for a timer, (time, seq, 1, (src, dst, cell))
-        # for a delivery, where cell is [frame, decoded message or None]
-        self._heap: list[tuple[int, int, int, object]] = []
+        # due time -> its events in scheduling order: a timer is its
+        # callback, a delivery is (src, dst, cell), where cell is
+        # [frame, decoded message or None]
+        self._buckets: dict[int, list] = {}
+        # the due times of the buckets, a heap
+        self._due: list[int] = []
         self._endpoints: dict[str, Callable[[str, bytes, int], None]] = {}
         # sender -> every other endpoint, sorted; filled by broadcasts
         self._targets: dict[str, list[str]] = {}
@@ -107,6 +129,8 @@ class NetworkSim:
         self._blocked_pairs: dict[tuple[str, str], list[tuple[int, int]]] = {}
         # group state on the span [lo, hi); an empty span forces a refresh
         self._span: tuple[float, float] = (0, 0)
+        # the same span if on it every pair of endpoints is linked, else empty
+        self._linked_span: tuple[float, float] = (0, 0)
         self._partition_up = False
         self._offline_now: frozenset[int] = frozenset()
         self.event_log: list[tuple[int, str, str, str, int]] = []
@@ -128,7 +152,12 @@ class NetworkSim:
     def call_at(self, time: int, fn: Callable[[int], None]) -> None:
         if time < self._now:
             raise ValueError("cannot schedule in the past")
-        heapq.heappush(self._heap, (time, next(self._seq), 0, fn))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [fn]
+            heapq.heappush(self._due, time)
+        else:
+            bucket.append(fn)
 
     def call_later(self, delay: int, fn: Callable[[int], None]) -> None:
         self.call_at(self._now + delay, fn)
@@ -138,15 +167,16 @@ class NetworkSim:
     def set_partition(self, windows: Iterable[tuple[int, int]]) -> None:
         """Windows during which every inter-group link is down."""
         self._partition_windows = sorted(tuple(w) for w in windows)
-        self._span = (0, 0)
+        self._span = self._linked_span = (0, 0)
 
     def set_group_offline(self, group: int, start: int, end: int) -> None:
         self._offline_windows.setdefault(group, []).append((start, end))
-        self._span = (0, 0)
+        self._span = self._linked_span = (0, 0)
 
     def block_pair(self, a: str, b: str, start: int, end: int) -> None:
         key = (a, b) if a <= b else (b, a)
         self._blocked_pairs.setdefault(key, []).append((start, end))
+        self._linked_span = (0, 0)
 
     def _refresh_span(self, t: int) -> None:
         """Group state at t, and the span around t with no window edge
@@ -160,6 +190,7 @@ class NetworkSim:
         down = {group for group, (start, end) in windows if start <= t < end}
         self._partition_up = None in down
         self._offline_now = frozenset(down - {None})
+        self._linked_span = (0, 0) if down or self._blocked_pairs else self._span
 
     def connected(self, src: str, dst: str, t: int) -> bool:
         if self._blocked_pairs:
@@ -196,24 +227,38 @@ class NetworkSim:
                     name for name in self._endpoints if name != src
                 )
         rng, policy, now = self.rng, self.policy, self._now
+        uniform, draw = rng.random, policy.draw_latency
+        buckets, blocked = self._buckets, self._blocked_pairs
+        groups = self.topology.groups
+        group = groups.get(src, 0)
+        lo, hi = self._linked_span
+        linked = lo <= now < hi
         cell = [frame, None]
         times = []
         for target in targets:
-            if not self.connected(src, target, now):
+            if (not linked and (blocked or groups.get(target, 0) != group)
+                    and not self.connected(src, target, now)):
                 self.dropped += 1
                 continue
             copies = 1
-            if rng.random() < policy.loss:
+            if uniform() < policy.loss:
                 copies = 0
                 self.dropped += 1
-            elif rng.random() < policy.duplication:
+            elif uniform() < policy.duplication:
                 copies = 2
+            event = (src, target, cell)
             for _ in range(copies):
-                latency = policy.draw_latency(rng)
-                if rng.random() < policy.reorder:
-                    latency += policy.draw_latency(rng)
+                latency = draw(rng)
+                if uniform() < policy.reorder:
+                    latency += draw(rng)
                 when = now + latency
-                heapq.heappush(self._heap, (when, next(self._seq), 1, (src, target, cell)))
+                # call_at's insert, inlined, so wrappers of call_at see timers only
+                bucket = buckets.get(when)
+                if bucket is None:
+                    buckets[when] = [event]
+                    heapq.heappush(self._due, when)
+                else:
+                    bucket.append(event)
                 times.append(when)
         return times
 
@@ -233,23 +278,40 @@ class NetworkSim:
 
     def advance(self, until: int) -> None:
         """Dispatch everything scheduled up to `until` in (time,
-        insertion) order."""
-        heap = self._heap
-        while heap and heap[0][0] <= until:
-            time, _, tag, item = heapq.heappop(heap)
-            self._now = time
-            if tag == 0:
-                item(time)
-                continue
-            src, dst, cell = item
-            if not self.connected(src, dst, time):
-                self.dropped += 1
-                continue
-            frame = cell[0]
-            kind = KIND_NAMES.get(frame[0], "?") if frame else "?"
-            self.event_log.append((time, src, dst, kind, len(frame)))
-            self._cell = cell
-            self._endpoints[dst](src, frame, time)
+        insertion) order.  An exception from a callback propagates; the
+        events dispatched up to and including the one that raised leave
+        the queue, and every later one stays queued."""
+        buckets, due, blocked = self._buckets, self._due, self._blocked_pairs
+        groups, endpoints = self.topology.groups, self._endpoints
+        log = self.event_log
+        while due and due[0] <= until:
+            time = self._now = due[0]
+            bucket = buckets[time]
+            done = 0
+            try:
+                # the loop also reaches what callbacks append to bucket
+                for done, event in enumerate(bucket, 1):
+                    if event.__class__ is not tuple:
+                        event(time)
+                        continue
+                    src, dst, cell = event
+                    # re-read: a callback may have changed the schedules
+                    lo, hi = self._linked_span
+                    if (not lo <= time < hi
+                            and (blocked or groups.get(src, 0) != groups.get(dst, 0))
+                            and not self.connected(src, dst, time)):
+                        self.dropped += 1
+                        continue
+                    frame = cell[0]
+                    kind = KIND_NAMES.get(frame[0], "?") if frame else "?"
+                    log.append((time, src, dst, kind, len(frame)))
+                    self._cell = cell
+                    endpoints[dst](src, frame, time)
+            except BaseException:
+                del bucket[:done]
+                raise
+            del buckets[time]
+            heapq.heappop(due)
         self._cell = None
         self._now = until
 

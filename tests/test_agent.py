@@ -300,6 +300,28 @@ class TestElection:
         assert a.documents[DOC].election is not None
         assert a.ident.uuid in a.documents[DOC].election.ballots
 
+    @pytest.mark.parametrize("peers", [
+        [b"\x07" * 16, b"\x09" * 16],
+        [b"\x05" * 16, b"\x07" * 16],   # a peer claiming our own uuid is not lower
+        [b"\x07" * 16, b"\x05" * 16],
+        [b"\x03" * 16, b"\x07" * 16],
+        [b"\x05" * 16, b"\x03" * 16],
+    ])
+    def test_only_the_lowest_uuid_calls_an_election(self, peers):
+        # two peers claim to be master; the agent starts an election only
+        # if no peer uuid is below its own, as the set union of the peer
+        # uuids and its own decides
+        own = b"\x05" * 16
+        sim = NetworkSim(1, policy=LinkPolicy(("fixed", 5)))
+        agent = SyncAgent(AgentId(own, "a"), sim, SyncConfig(), rng=random.Random(1))
+        agent.subscribe(DOC)
+        sim.register("a", agent.on_frame)
+        for i, uuid in enumerate(peers):
+            status = StatusMsg(AgentId(uuid, f"p{i}"), DOC, ROOT_REVISION.hash, True)
+            agent.on_frame(f"p{i}", encode_frame(status), 10)
+        lowest = min(set(peers) | {own}) == own
+        assert (agent.documents[DOC].election is not None) == lowest
+
 
 class TestConvergenceAfterElection:
     def test_two_agents_full_stack_converge(self):

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 
 import pytest
@@ -122,25 +123,63 @@ def test_blocked_pair():
 
 
 def test_order_matches_heap_replay_oracle():
+    # deliveries and timers, many scheduled from inside callbacks, some
+    # of those due at the millisecond being dispatched, run in the order
+    # a heap of (time, insertion) pairs would pop everything scheduled
+    sim = NetworkSim(5, policy=LinkPolicy(("uniform", 1, 30), duplication=0.2, reorder=0.2))
     rng = random.Random(9)
-    sim, inboxes, register = make_sim(seed=5, policy=LinkPolicy(("uniform", 1, 30)))
-    register("a"), register("b")
-    oracle = []
-    heap = []
-    mirror = NetworkSim(5, policy=LinkPolicy(("uniform", 1, 30)))
-    mirror.register("a", lambda *_: None)
-    mirror.register("b", lambda *_: None)
-    seq = 0
-    for i in range(100):
-        times = sim.send(FRAME, "a", "b")
-        mtimes = mirror.send(FRAME, "a", "b")
-        assert times == mtimes
+    scheduled, dispatched = [], []
+    seq = itertools.count()
+
+    def send(label):
+        times = sim.send(label.encode(), "a", "b")
         for t in times:
-            heapq.heappush(heap, (t, seq))
-            seq += 1
+            heapq.heappush(scheduled, (t, next(seq), label))
+        return times
+
+    def at(t, label):
+        heapq.heappush(scheduled, (t, next(seq), label))
+        sim.call_at(t, lambda now: on_event(now, label))
+
+    def on_event(now, label):
+        dispatched.append((now, label))
+        if label.count("/") >= 3:
+            return
+        if rng.random() < 0.3:
+            at(now, f"{label}/now")
+        if rng.random() < 0.3:
+            at(now + rng.randint(1, 5), f"{label}/later")
+        if rng.random() < 0.2:
+            send(f"{label}/send")
+
+    sim.register("a", lambda *_: None)
+    sim.register("b", lambda src, frame, now: on_event(now, frame.decode()))
+    for i in range(100):
+        send(f"s{i}")
+        if i % 5 == 0:
+            at(rng.randint(0, 40), f"t{i}")
+    # a delivery and a timer due at the same millisecond
+    probe = send("probe")[0]
+    at(probe, "beside-probe")
     sim.advance(10_000)
-    expect = [t for t, _ in sorted(heap)]
-    assert [t for t, _, _ in inboxes["b"]] == expect
+
+    replay = [heapq.heappop(scheduled) for _ in range(len(scheduled))]
+    assert dispatched == [(t, label) for t, _, label in replay]
+    assert any(label.endswith("/now") for _, label in dispatched)
+    assert {(probe, "probe"), (probe, "beside-probe")} <= set(dispatched)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (3, 3), (1, 8), (2, 8), (1, 10), (1, 1024)])
+def test_latency_draw_is_randint(lo, hi):
+    # the byte-identical outputs rest on this: draw_latency returns what
+    # Random.randint returns and consumes the same bits, also for a
+    # one-value range, where randint still draws
+    policy = LinkPolicy(("uniform", lo, hi))
+    for seed in range(50):
+        ours, randint = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert policy.draw_latency(ours) == randint.randint(lo, hi)
+        assert ours.getstate() == randint.getstate()
 
 
 def test_timers_interleave_with_deliveries():
@@ -154,6 +193,27 @@ def test_timers_interleave_with_deliveries():
     assert fired == [5, 15]
     assert [t for t, _, _ in inboxes["b"]] == [10]
     assert sim.clock() == 20
+
+
+def test_a_raising_callback_leaves_the_later_events_queued():
+    sim, inboxes, register = make_sim(policy=LinkPolicy(("fixed", 10)))
+    register("a"), register("b")
+    fired = []
+
+    def boom(now):
+        fired.append("boom")
+        raise RuntimeError("boom")
+
+    sim.call_at(10, lambda now: fired.append("before"))
+    sim.call_at(10, boom)
+    sim.send(FRAME, "a", "b")
+    sim.call_at(10, lambda now: fired.append("after"))
+    with pytest.raises(RuntimeError):
+        sim.advance(20)
+    assert fired == ["before", "boom"] and inboxes["b"] == []
+    sim.advance(20)
+    assert fired == ["before", "boom", "after"]
+    assert [t for t, _, _ in inboxes["b"]] == [10]
 
 
 def test_advance_with_no_events_returns_at_until():

@@ -747,6 +747,14 @@ def revision_dags(draw):
     return draw(st.permutations(revs))
 
 
+@st.composite
+def held_back_dags(draw):
+    """A `revision_dags()` order and how many revisions at its end are
+    held back, from none to all of them."""
+    order = draw(revision_dags())
+    return order, draw(st.sampled_from(range(len(order) + 1)))
+
+
 OPS = st.lists(st.tuples(st.sampled_from(["remove", "rebase", "squash"]),
                          st.integers(0, 10**6), st.integers(0, 10**6)), max_size=6)
 
@@ -759,14 +767,15 @@ class TestIncrementalIndexes:
             assert gor.resolved(h) == resolved_by_dfs(gor, h), h.hex()
 
     @settings(max_examples=300, deadline=None)
-    @given(revision_dags(), st.integers(0, 10), OPS)
-    def test_heads_and_resolved_match_full_walks(self, order, held_back, ops):
+    @given(held_back_dags(), OPS)
+    def test_heads_and_resolved_match_full_walks(self, dag, ops):
         """Insert in any order, holding some revisions back, run
         remove / rebase / squash on the partial graph, then insert the
         rest; the indexes equal the full walks after every step."""
+        order, held_back = dag
         gor = GraphOfRevisions("doc:index")
         seen = {ROOT_REVISION.hash} | {r.hash for r, _ in order}
-        cut = max(0, len(order) - held_back)
+        cut = len(order) - held_back
         for rev, local in order[:cut]:
             gor.insert(rev, local=local)
             self.assert_indexes_match(gor, seen)
@@ -805,13 +814,14 @@ class TestIncrementalIndexes:
 
 class TestCommonAncestorAgainstReaches:
     @settings(max_examples=200, deadline=None)
-    @given(revision_dags(), st.integers(0, 10))
-    def test_every_resolved_pair_matches_the_reference(self, order, held_back):
+    @given(held_back_dags())
+    def test_every_resolved_pair_matches_the_reference(self, dag):
         """Every ordered pair of resolved revisions, the pairs where one
         is an ancestor of the other and each revision with itself
         included, gets the reference's answer."""
+        order, held_back = dag
         gor = GraphOfRevisions("doc:ancestor")
-        for rev, _ in order[:max(0, len(order) - held_back)]:
+        for rev, _ in order[:len(order) - held_back]:
             gor.insert(rev)
         resolved = sorted(h for h in gor._revs if gor.resolved(h))
         for a in resolved:
@@ -908,14 +918,15 @@ class TestAncestry:
                 assert gor.is_ancestor(a, b) == ancestor_by_walk(gor, a, b)
 
     @settings(max_examples=200, deadline=None)
-    @given(revision_dags(), st.integers(0, 10), OPS)
-    def test_is_ancestor_matches_plain_walk(self, order, held_back, ops):
+    @given(held_back_dags(), OPS)
+    def test_is_ancestor_matches_plain_walk(self, dag, ops):
         """Insert with parents held back, query, run remove / rebase /
         squash, insert the rest and put back what was removed; every
         answer equals the plain walk after every step."""
+        order, held_back = dag
         gor = GraphOfRevisions("doc:ancestry")
         seen = {ROOT_REVISION.hash} | {r.hash for r, _ in order}
-        cut = max(0, len(order) - held_back)
+        cut = len(order) - held_back
         for rev, local in order[:cut]:
             gor.insert(rev, local=local)
             self.assert_ancestry_matches(gor, seen)
@@ -1013,16 +1024,17 @@ def forged_merge():
 
 class TestMaterializeAgainstFold:
     @settings(max_examples=300, deadline=None)
-    @given(revision_dags(), st.integers(0, 10), st.randoms(use_true_random=False))
-    def test_every_revision_equals_the_fold(self, order, held_back, rng):
+    @given(held_back_dags(), st.randoms(use_true_random=False))
+    def test_every_revision_equals_the_fold(self, dag, rng):
         """Insert in any order with some revisions held back and ask for
         revisions in random orders: an unresolved one raises
         `UnresolvedAncestor`, any other equals the fold (or raises
         `MergePathDivergence` where the fold does); once the held-back
         revisions arrive, every revision materializes as the fold."""
+        order, held_back = dag
         gor = GraphOfRevisions("doc:mat")
         hashes = [ROOT_REVISION.hash] + [r.hash for r, _ in order]
-        cut = max(0, len(order) - held_back)
+        cut = len(order) - held_back
         for rev, local in order[:cut]:
             gor.insert(rev, local=local)
         for h in rng.sample(hashes, len(hashes)):
