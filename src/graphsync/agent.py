@@ -241,6 +241,9 @@ class SyncAgent:
 
     def _handle_status(self, doc: DocState, msg: StatusMsg, now: int) -> None:
         uuid = msg.sender.uuid
+        if uuid == self.ident.uuid:
+            # never our own broadcast: another endpoint claiming our uuid
+            return
         peer = doc.peers.get(uuid)
         if peer is None:
             doc.peers[uuid] = PeerInfo(msg, now, now)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -59,6 +62,73 @@ class LinkPolicy:
         return lo + r
 
 
+# the event-log label of each kind byte; 0 is no kind, and stands for an
+# empty frame
+_KIND_LABELS = tuple(KIND_NAMES.get(k, "?") for k in range(256))
+
+
+def _csv_field(text: str) -> str:
+    """`text` as `csv.writer` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # the empty last field's ",\r\n"
+
+
+class EventLog(Sequence):
+    """The deliveries of a `NetworkSim`, one row per delivered copy,
+    read as a sequence of ``(time, src, dst, kind, size)`` tuples with
+    the kind as its `wire.KIND_NAMES` label ("?" for an empty frame or
+    an unknown kind byte).
+
+    The rows are kept in `array` columns: the time, the source and
+    destination ids, the raw kind byte (0 for an empty frame) and the
+    size, about 25 bytes a row where a tuple per row costs over 90.
+    ``names`` maps each id back to its endpoint name.  `NetworkSim.advance`
+    appends to the columns itself; indexing, slicing and iteration build
+    the tuples as they are read, a slice as a list of them."""
+
+    __slots__ = ("time", "src", "dst", "kind", "size", "names", "ids")
+
+    def __init__(self):
+        self.time = array("Q")
+        self.src = array("I")
+        self.dst = array("I")
+        self.kind = array("B")
+        self.size = array("Q")
+        self.names: list[str] = []
+        # endpoint name -> its id, the index of the name in names
+        self.ids: dict[str, int] = {}
+
+    def add_name(self, name: str) -> None:
+        """Give `name` the next id, unless it has one."""
+        if name not in self.ids:
+            self.ids[name] = len(self.names)
+            self.names.append(name)
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        names = self.names
+        return (self.time[index], names[self.src[index]], names[self.dst[index]],
+                _KIND_LABELS[self.kind[index]], self.size[index])
+
+    def __iter__(self):
+        name = self.names.__getitem__
+        return zip(self.time, map(name, self.src), map(name, self.dst),
+                   map(_KIND_LABELS.__getitem__, self.kind), self.size)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, EventLog)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class Topology:
     """Group partition of the agents (a name not listed is in group 0);
@@ -102,6 +172,11 @@ class NetworkSim:
     That is safe because wire messages and revisions are frozen, and
     each receiver keeps whether a revision is local in its own graph.
     The cell lives as long as its queued copies.
+
+    Each delivery is logged in ``event_log``, an `EventLog` of `array`
+    columns that `advance` appends to inline, with no call per delivery
+    beyond the appends; `register` gives each endpoint its id there.
+    `write_event_log` streams the rows to the file.
     """
 
     def __init__(
@@ -133,7 +208,7 @@ class NetworkSim:
         self._linked_span: tuple[float, float] = (0, 0)
         self._partition_up = False
         self._offline_now: frozenset[int] = frozenset()
-        self.event_log: list[tuple[int, str, str, str, int]] = []
+        self.event_log = EventLog()
         self.dropped = 0
         # the cell of the delivery being dispatched
         self._cell: Optional[list] = None
@@ -143,6 +218,7 @@ class NetworkSim:
     def register(self, name: str, on_frame: Callable[[str, bytes, int], None],
                  group: int = 0) -> None:
         self._endpoints[name] = on_frame
+        self.event_log.add_name(name)
         self._targets.clear()
         self.topology.groups.setdefault(name, group)
 
@@ -284,6 +360,9 @@ class NetworkSim:
         buckets, due, blocked = self._buckets, self._due, self._blocked_pairs
         groups, endpoints = self.topology.groups, self._endpoints
         log = self.event_log
+        ids = log.ids
+        log_time, log_src, log_dst = log.time.append, log.src.append, log.dst.append
+        log_kind, log_size = log.kind.append, log.size.append
         while due and due[0] <= until:
             time = self._now = due[0]
             bucket = buckets[time]
@@ -303,8 +382,11 @@ class NetworkSim:
                         self.dropped += 1
                         continue
                     frame = cell[0]
-                    kind = KIND_NAMES.get(frame[0], "?") if frame else "?"
-                    log.append((time, src, dst, kind, len(frame)))
+                    log_time(time)
+                    log_src(ids[src])
+                    log_dst(ids[dst])
+                    log_kind(frame[0] if frame else 0)
+                    log_size(len(frame))
                     self._cell = cell
                     endpoints[dst](src, frame, time)
             except BaseException:
@@ -316,10 +398,17 @@ class NetworkSim:
         self._now = until
 
     def write_event_log(self, path) -> None:
+        """Write the event log as `csv.writer` writes its rows, under a
+        header row.  Each endpoint name is escaped once, by `csv` itself,
+        and the rows are written as they are formatted, not joined first."""
+        log = self.event_log
+        names = [_csv_field(name) for name in log.names]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_ms", "src", "dst", "kind", "size"])
-            w.writerows(self.event_log)
+            csv.writer(fh).writerow(["time_ms", "src", "dst", "kind", "size"])
+            fh.writelines(
+                f"{t},{names[s]},{names[d]},{_KIND_LABELS[k]},{z}\r\n"
+                for t, s, d, k, z in zip(log.time, log.src, log.dst, log.kind, log.size)
+            )
 
 
 # ---------------------------------------------------------------------------

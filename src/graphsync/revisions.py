@@ -131,9 +131,9 @@ class GraphOfRevisions:
     Revisions may arrive before their parents; they are stored anyway
     and the unresolved parent digests are reported so the caller can
     request them.  `materialize` replays runs of one-parent revisions in
-    place and caches only the graphs asked for, every merge and each
-    merge's parents.  ``_local`` holds the unpublished revisions, the
-    only ones that may be rebased, squashed or removed.
+    place and caches only the graph it is asked for; `merge_revision`
+    also caches the merge it makes.  ``_local`` holds the unpublished
+    revisions, the only ones that may be rebased, squashed or removed.
 
     Three indexes are kept up to date by `insert` and `remove`, so the
     per-frame queries cost no walk down the history:
@@ -341,44 +341,52 @@ class GraphOfRevisions:
         `UnresolvedAncestor` unless h and all its ancestors are present.
 
         The run of one-parent revisions below h is walked down to the
-        nearest cached graph or merge, and its deltas are replayed in
-        order on one mutable set.  Only h, every merge and each merge's
-        parents are cached; the revisions inside a run are not."""
+        nearest graph at hand or merge, and its deltas are replayed in
+        order on one mutable set.  The graphs built on the way, of merges
+        and their parents, live only in a dict local to the call; only
+        the graph of h is cached (`merge_revision` caches the merges it
+        makes)."""
         if h not in self._resolved:
             raise UnresolvedAncestor(h.hex())
         mat = self._mat
+        graph = mat.get(h)
+        if graph is not None:
+            return graph
+        # the cache, then the graphs this call has built
+        built = dict(mat)
         stack = [h]
         while stack:
             top = stack[-1]
-            if top in mat:
+            if top in built:
                 stack.pop()
                 continue
             run = []
             cur = top
-            while cur not in mat:
+            while cur not in built:
                 rev = self._revs[cur]
                 if len(rev.parents) != 1:
                     break
                 run.append(rev.parents[0].delta)
                 cur = rev.parents[0].parent
-            if cur not in mat:
-                # a merge (or a root) whose graph is not cached yet
-                pending = [l.parent for l in rev.parents if l.parent not in mat]
+            if cur not in built:
+                # a merge (or a root) whose graph is not built yet
+                pending = [l.parent for l in rev.parents if l.parent not in built]
                 if pending:
                     stack.extend(pending)
                     continue
-                results = [delta_apply(mat[l.parent], l.delta) for l in rev.parents]
+                results = [delta_apply(built[l.parent], l.delta) for l in rev.parents]
                 if rev.is_merge and results[0] != results[1]:
                     raise MergePathDivergence(cur.hex())
-                mat[cur] = results[0] if results else frozenset()
+                built[cur] = results[0] if results else frozenset()
             if run:
-                graph = set(mat[cur])
+                graph = set(built[cur])
                 for delta in reversed(run):
                     graph -= delta.removed
                     graph |= delta.inserted
-                mat[top] = frozenset(graph)
+                built[top] = frozenset(graph)
             stack.pop()
-        return mat[h]
+        graph = mat[h] = built[h]
+        return graph
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ UUIDs as raw 16 bytes, and deltas as their canonical text encoding.
 The layouts are frozen; golden-frame tests pin the exact bytes.  The
 signature field of a revision frame is written empty and skipped on
 read; decoding checks the revision's digest (`verified_revision`).
-Elsewhere in the package only `NetworkSim.advance` reads frame bytes: the
-kind byte, to label its event-log rows.  The revision log packs and
-reads its records with `pack` and `Reader`.
+Elsewhere in the package only `NetworkSim.advance` reads frame bytes: it
+logs each delivery's kind byte raw, and `netsim.EventLog` turns it into
+its `KIND_NAMES` label when a row is read or written.  The revision log
+packs and reads its records with `pack` and `Reader`.
 """
 
 from __future__ import annotations

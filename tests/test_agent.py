@@ -163,6 +163,16 @@ class TestStatusHandling:
         a.on_frame("x", encode_frame(StatusMsg(outsider, DOC, fake_head, False)), 10)
         assert fake_head in a.documents[DOC].outstanding
 
+    def test_status_under_the_agents_own_uuid_is_ignored(self):
+        """A master claim under the receiver's own uuid, from any
+        endpoint, neither makes it master nor joins its peer table."""
+        sim, (a, b) = make_team(2)
+        spoof = StatusMsg(AgentId(a.ident.uuid, "x"), DOC, ROOT_REVISION.hash, True)
+        a.on_frame("x", encode_frame(spoof), 10)
+        doc = a.documents[DOC]
+        assert not a.is_master(DOC)
+        assert doc.master is None and a.ident.uuid not in doc.peers
+
     def test_idle_agent_sends_one_status_per_period(self):
         sim, (a, b) = make_team(2)
         sim.advance(9999)
@@ -302,7 +312,7 @@ class TestElection:
 
     @pytest.mark.parametrize("peers", [
         [b"\x07" * 16, b"\x09" * 16],
-        [b"\x05" * 16, b"\x07" * 16],   # a peer claiming our own uuid is not lower
+        [b"\x05" * 16, b"\x07" * 16],   # a status under our own uuid is ignored
         [b"\x07" * 16, b"\x05" * 16],
         [b"\x03" * 16, b"\x07" * 16],
         [b"\x05" * 16, b"\x03" * 16],
@@ -310,7 +320,8 @@ class TestElection:
     def test_only_the_lowest_uuid_calls_an_election(self, peers):
         # two peers claim to be master; the agent starts an election only
         # if no peer uuid is below its own, as the set union of the peer
-        # uuids and its own decides
+        # uuids and its own decides.  A status under its own uuid is
+        # ignored, so it claims no master and joins no peer table
         own = b"\x05" * 16
         sim = NetworkSim(1, policy=LinkPolicy(("fixed", 5)))
         agent = SyncAgent(AgentId(own, "a"), sim, SyncConfig(), rng=random.Random(1))
@@ -319,7 +330,8 @@ class TestElection:
         for i, uuid in enumerate(peers):
             status = StatusMsg(AgentId(uuid, f"p{i}"), DOC, ROOT_REVISION.hash, True)
             agent.on_frame(f"p{i}", encode_frame(status), 10)
-        lowest = min(set(peers) | {own}) == own
+        others = set(peers) - {own}
+        lowest = len(others) == 2 and min(others | {own}) == own
         assert (agent.documents[DOC].election is not None) == lowest
 
 

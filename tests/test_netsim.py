@@ -1,11 +1,19 @@
+import csv
+import gc
 import heapq
+import io
 import itertools
+import os
 import random
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsync.netsim import LinkPolicy, NetworkSim, Topology, parse_scenario, ScenarioError
-from graphsync.wire import ReadyMsg, encode_frame
+from graphsync.wire import KIND_NAMES, ReadyMsg, encode_frame
 
 FRAME = encode_frame(ReadyMsg("ds", b"\x05" * 16))
 
@@ -55,6 +63,93 @@ def test_any_frame_is_delivered_and_logged():
     sim.advance(100)
     assert [fr for _, _, fr in inboxes["b"]] == [b"", b"\xff", FRAME]
     assert [row[3:] for row in sim.event_log] == [("?", 0), ("?", 1), ("ready", len(FRAME))]
+
+
+# endpoint names csv must quote or may mangle, and plain ones
+ENDPOINT_NAMES = st.lists(
+    st.one_of(
+        st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", " lead", "a,b", 'q"q', "é", "中文", "x"]),
+        st.text(alphabet=st.sampled_from(list(',"\r\n é中ab')), max_size=6),
+    ),
+    min_size=2, max_size=5, unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ENDPOINT_NAMES, st.data())
+def test_event_log_csv_is_what_csv_writer_writes(names, data):
+    """Whatever the endpoint names and frames (empty, unknown kind
+    bytes, real frames), `write_event_log` writes the bytes that
+    `csv.writer` writes for the header and the rows of `event_log`."""
+    sim = NetworkSim(data.draw(st.integers(0, 2**16)),
+                     policy=LinkPolicy(("uniform", 1, 5), duplication=0.2))
+    for name in names:
+        sim.register(name, lambda src, frame, now: None)
+    frames = st.one_of(st.just(b""), st.just(FRAME), st.binary(min_size=1, max_size=4))
+    sends = data.draw(st.lists(st.tuples(
+        st.sampled_from(names), st.one_of(st.none(), st.sampled_from(names)), frames),
+        max_size=20))
+    for src, dst, frame in sends:
+        sim.send(frame, src, dst)
+    sim.advance(100)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["time_ms", "src", "dst", "kind", "size"])
+    writer.writerows(list(sim.event_log))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.csv")
+        sim.write_event_log(path)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.getvalue().encode()
+
+
+def test_event_log_reads_as_a_list_of_rows():
+    sim, inboxes, register = make_sim(policy=LinkPolicy(("uniform", 1, 9), duplication=0.3))
+    register("a"), register("b"), register("c")
+    for frame in (FRAME, b"", b"\xff\x00", FRAME):
+        sim.send(frame, "a")
+        sim.send(frame, "c", "b")
+    sim.advance(100)
+    log = sim.event_log
+    # each delivery, as its receiver saw it
+    rows = [(t, src, name, KIND_NAMES.get(fr[0], "?") if fr else "?", len(fr))
+            for name in ("a", "b", "c") for t, src, fr in inboxes[name]]
+    assert sorted(log) == sorted(rows)
+    listed = list(log)
+    assert len(log) == len(listed) >= 12
+    for i in (0, 5, -1, -len(listed)):
+        assert log[i] == listed[i]
+    for index in (len(listed), -len(listed) - 1):
+        with pytest.raises(IndexError):
+            log[index]
+    for cut in (slice(None), slice(2, 7), slice(-3, None), slice(None, None, -2),
+                slice(5, 1), slice(1, 100, 3)):
+        assert log[cut] == listed[cut]
+    assert [row for row in log] == listed
+    assert log == listed and listed == log and log == sim.event_log
+    assert log != listed[:-1] and log != tuple(listed)
+    assert repr(log) == repr(listed)
+
+
+def test_logged_deliveries_cost_under_40_bytes_a_row():
+    # 10 000 broadcasts to 10 receivers, all delivered at 5 ms
+    sim = NetworkSim(1)
+    names = [f"r{i}" for i in range(11)]
+    for name in names:
+        sim.register(name, lambda src, frame, now: None)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            sim.send(FRAME, "r0")
+        sim.advance(10)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(sim.event_log) == 100_000
+    assert grown / 100_000 < 40
 
 
 def test_causality_minimum_latency():

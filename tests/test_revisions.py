@@ -1069,6 +1069,24 @@ class TestMaterializeAgainstFold:
                 assert gor.materialize(h) == materialize_by_fold(gor, h)
                 assert len(gor._mat) - before <= 1 + 3 * merges
 
+    def test_one_call_caches_only_the_graph_asked_for(self):
+        """Whatever merges lie below it, one `materialize(h)` on a fresh
+        graph leaves exactly the root and h cached; every revision,
+        asked for after it in any order, still equals the fold."""
+        rng = random.Random(78)
+        for _ in range(20):
+            dag, _ = random_dag(rng, rng.randrange(10, 40), merge_prob=0.4)
+            revs = list(dag.revisions())
+            assert any(r.is_merge for r in revs)
+            h = rng.choice(sorted(r.hash for r in revs))
+            gor = GraphOfRevisions("doc:copy")
+            for rev in revs:
+                gor.insert(rev)
+            gor.materialize(h)
+            assert set(gor._mat) == {ROOT_REVISION.hash, h}
+            for rev in rng.sample(revs, len(revs)):
+                assert gor.materialize(rev.hash) == materialize_by_fold(gor, rev.hash)
+
     @pytest.mark.parametrize("ask", [0, 3], ids=["merge", "three-below"])
     def test_divergent_merge_raises_and_caches_neither(self, ask):
         gor, a, b, below = forged_merge()
