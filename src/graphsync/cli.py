@@ -6,7 +6,8 @@
     graphsync scenario <FILE> [--out PATH]
 
 Exit status is nonzero when a run violates its invariants or a
-verification check fails; a scenario file that does not parse exits 2.
+verification check fails; a scenario file that cannot be read or does
+not parse exits 2.
 """
 
 from __future__ import annotations
@@ -97,12 +98,12 @@ def _verify(args) -> int:
 
 
 def _scenario(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
     try:
-        scenario = parse_scenario(text)
-    except ScenarioError as exc:
-        print(f"graphsync scenario: {args.file}: {exc}", file=sys.stderr)
+        with open(args.file, encoding="utf-8") as fh:
+            scenario = parse_scenario(fh.read())
+    except (OSError, UnicodeDecodeError, ScenarioError) as exc:
+        why = (exc.strerror or exc) if isinstance(exc, OSError) else exc
+        print(f"graphsync scenario: {args.file}: {why}", file=sys.stderr)
         return 2
     res = experiments.run_scenario(scenario, args.out)
     print(f"scenario: {len(res['agents'])} agents, documents {res['documents']}")

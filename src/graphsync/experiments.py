@@ -896,7 +896,10 @@ _CSV_CHECKS = (
 def verify_run(out_dir) -> tuple[bool, list[str]]:
     """Offline re-checks of a run directory; returns (ok, report lines).
     A CSV with a missing column or a value that does not parse gets one
-    failed line naming it in place of its checks."""
+    failed line naming it in place of its checks; a path that is not a
+    directory gets one failed line naming it."""
+    if not os.path.isdir(out_dir):
+        return False, [f"[FAIL] {out_dir}: not a directory"]
     results = []
     checked = 0
     for name, check in _CSV_CHECKS:

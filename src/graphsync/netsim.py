@@ -62,6 +62,9 @@ class LinkPolicy:
         return lo + r
 
 
+# the memo of decode cells holds at most this many per registered endpoint
+_CELLS_PER_ENDPOINT = 4
+
 # the event-log label of each kind byte; 0 is no kind, and stands for an
 # empty frame
 _KIND_LABELS = tuple(KIND_NAMES.get(k, "?") for k in range(256))
@@ -165,13 +168,23 @@ class NetworkSim:
     blocked.  The sorted broadcast targets of each sender are built on
     its first broadcast and dropped by `register`.
 
-    Each call to `send` decodes its frame at most once: all the copies
-    it queues share one ``[frame, message]`` cell, the first receiver
-    that asks `decoded` for the message fills it, and every other
-    receiver, duplicated copies included, gets the same message object.
-    That is safe because wire messages and revisions are frozen, and
-    each receiver keeps whether a revision is local in its own graph.
-    The cell lives as long as its queued copies.
+    A frame is decoded at most once for all the copies of every send
+    that carries its bytes, while its cell stays in a memo: all the
+    copies queue one ``[frame, message]`` cell, the first receiver that
+    asks `decoded` for the message fills it, and every other receiver,
+    duplicated copies and later sends of equal bytes included, gets the
+    same message object.  That is safe because wire messages and
+    revisions are frozen, and each receiver keeps whether a revision is
+    local in its own graph.  Frames are hashable `bytes`, and the memo
+    is keyed by them: `send` looks each frame up once, and on a miss
+    adds a fresh cell and evicts the oldest one, first in first out,
+    once the memo holds more than 4 cells per registered endpoint (room
+    for each endpoint's current status and a few frames in flight).  A
+    periodic status or a re-broadcast revision is thus decoded once
+    while it repeats, and a flood of distinct frames keeps no more than
+    that bound.  Every copy delivers the frame object of its cell, equal
+    in bytes to the one sent.  An evicted cell lives as long as its
+    queued copies.
 
     Each delivery is logged in ``event_log``, an `EventLog` of `array`
     columns that `advance` appends to inline, with no call per delivery
@@ -212,6 +225,8 @@ class NetworkSim:
         self.dropped = 0
         # the cell of the delivery being dispatched
         self._cell: Optional[list] = None
+        # frame bytes -> its decode cell, oldest first
+        self._cells: dict[bytes, list] = {}
 
     # -- wiring ---------------------------------------------------------
 
@@ -309,7 +324,12 @@ class NetworkSim:
         group = groups.get(src, 0)
         lo, hi = self._linked_span
         linked = lo <= now < hi
-        cell = [frame, None]
+        cells = self._cells
+        cell = cells.get(frame)
+        if cell is None:
+            cell = cells[frame] = [frame, None]
+            if len(cells) > _CELLS_PER_ENDPOINT * len(self._endpoints):
+                del cells[next(iter(cells))]
         times = []
         for target in targets:
             if (not linked and (blocked or groups.get(target, 0) != group)
@@ -340,7 +360,7 @@ class NetworkSim:
 
     def decoded(self, frame: bytes, decode: Callable[[bytes], object]):
         """The message of `frame`: decoded by `decode` once for all the
-        copies one `send` queued, or on every call for a frame the
+        copies that share its cell, or on every call for a frame the
         simulator is not dispatching.  A frame that fails to decode
         caches nothing."""
         cell = self._cell

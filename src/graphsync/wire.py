@@ -8,8 +8,10 @@ signature field of a revision frame is written empty and skipped on
 read; decoding checks the revision's digest (`verified_revision`).
 Elsewhere in the package only `NetworkSim.advance` reads frame bytes: it
 logs each delivery's kind byte raw, and `netsim.EventLog` turns it into
-its `KIND_NAMES` label when a row is read or written.  The revision log
-packs and reads its records with `pack` and `Reader`.
+its `KIND_NAMES` label when a row is read or written.  `NetworkSim.send`
+keys its memo of decode cells by the whole frame bytes, which it hashes
+and compares but does not parse.  The revision log packs and reads its
+records with `pack` and `Reader`.
 """
 
 from __future__ import annotations

@@ -387,14 +387,41 @@ class TestDecodeOnce:
         assert all(r is received[0] for r in received)
         assert not any(ag.documents[DOC].gor.is_local(rev.hash) for ag in agents)
 
+    def test_idle_status_decoded_once_while_it_repeats(self, decodes):
+        sim, agents = make_team(3)
+        frames = recorded(sim)
+        sim.advance(20_000)
+        idle = agents[2]
+        assert idle.documents[DOC].master != idle.ident.uuid
+        status = encode_frame(StatusMsg(idle.ident, DOC, ROOT_REVISION.hash, False))
+        assert frames.count(status) >= 10
+        assert decodes.count(status) == 1
+
+    def test_revision_rebroadcast_by_two_agents_decoded_once(self, decodes):
+        sim, (a, b, c) = make_team(3)
+        for agent in (a, b, c):
+            agent.preset_master(DOC, a.ident.uuid)
+        frames = recorded(sim)
+        rev = c.local_change(DOC, Delta.of(fresh_triples("c", 1), ()))
+        sim.advance(100)
+        # the author answers the master's request, the master answers b's
+        c.on_frame("a0", encode_frame(RevisionRequestMsg(DOC, a.ident.uuid, (rev.hash,))), 100)
+        a.on_frame("a1", encode_frame(RevisionRequestMsg(DOC, b.ident.uuid, (rev.hash,))), 100)
+        sim.advance(300)
+        frame = encode_frame(RevisionMsg(DOC, rev))
+        assert frames.count(frame) == 3
+        assert decodes.count(frame) == 1
+
     def test_malformed_frame_caches_nothing(self, decodes):
         sim, agents = make_team(3)
         bad = encode_frame(StatusMsg(agents[0].ident, DOC, ROOT_REVISION.hash, False))[:-1]
         sim.send(bad, "a0")
         sim.advance(500)
-        # each receiver decodes it anew: the first failure cached nothing
-        assert sum(f is bad for f in decodes) == 2
-        assert [ag.stats["undecodable"] for ag in agents] == [0, 1, 1]
+        sim.send(bad, "a0")
+        sim.advance(1000)
+        # each receiver of each send decodes it anew: no failure cached anything
+        assert decodes.count(bad) == 4
+        assert [ag.stats["undecodable"] for ag in agents] == [0, 2, 2]
 
     def test_frame_outside_simulator_decoded_per_call(self, decodes):
         sim, (a, b) = make_team(2)

@@ -177,6 +177,15 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith(f"[FAIL] {name}: {why}")
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_verify_path_that_is_not_a_directory(self, tmp_path, capsys, kind):
+        path = tmp_path / "run"
+        if kind == "file":
+            path.write_text("time_ms\n1\n")
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out.splitlines() == [f"[FAIL] {path}: not a directory"] and out.err == ""
+
 
 class TestScenarioRunner:
     SCN = """
@@ -259,11 +268,17 @@ class TestCli:
         rc = main(["verify", str(tmp_path / "out")])
         assert rc == 0
 
-    def test_scenario_command_bad_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content,why", [
+        (b"agent a0\nlatency weird 5\n", "line 2"),
+        (None, "No such file or directory"),
+        (b"agent a0\nseed \xff\n", "can't decode byte 0xff"),
+    ], ids=["unparseable", "missing", "not-utf8"])
+    def test_scenario_command_bad_file(self, tmp_path, capsys, content, why):
         scn = tmp_path / "bad.scn"
-        scn.write_text("agent a0\nlatency weird 5\n")
+        if content is not None:
+            scn.write_bytes(content)
         rc = main(["scenario", str(scn), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "line 2" in err and "Traceback" not in err
+        assert err.count("\n") == 1 and why in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()

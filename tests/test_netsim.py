@@ -152,6 +152,43 @@ def test_logged_deliveries_cost_under_40_bytes_a_row():
     assert grown / 100_000 < 40
 
 
+def test_frame_memo_stays_bounded_under_a_flood():
+    # 1 000 distinct 64 KiB broadcasts, each delivered before the next
+    sim = NetworkSim(1)
+    names = ["flood", "r1", "r2"]
+    decodes = []
+
+    def receive(src, frame, now):
+        sim.decoded(frame, lambda f: decodes.append(f[:4]) or len(f))
+
+    for name in names:
+        sim.register(name, receive)
+    bound = 4 * len(names)
+    size = 64 * 1024
+
+    def frame(i):
+        return i.to_bytes(4, "big") * (size // 4)
+
+    tracemalloc.start()
+    try:
+        for i in range(1000):
+            sim.send(frame(i), "flood")
+            sim.advance(sim.clock() + 10)
+            assert len(sim._cells) <= bound
+        gc.collect()
+        blocks = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    # a frame is the only block this large that the flood can leave
+    assert sum(block.size >= size for block in blocks) <= bound
+    assert len(decodes) == 1000
+    # an evicted frame is decoded again; one still in the memo is not
+    sim.send(frame(0), "flood")
+    sim.send(frame(999), "flood")
+    sim.advance(sim.clock() + 10)
+    assert decodes[1000:] == [frame(0)[:4]]
+
+
 def test_causality_minimum_latency():
     sim, inboxes, register = make_sim(policy=LinkPolicy(("uniform", 3, 9)))
     register("a"), register("b")
