@@ -13,11 +13,11 @@ from __future__ import annotations
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .transfer import split_chunks
-from .triples import Term, Triple, iri, literal
+from .triples import Triple, iri, literal
 from .wire import AgentId
 
 NS = "http://aiics.example.org/ns#"

@@ -8,8 +8,9 @@ reloading rebuilds the graph of revisions and re-verifies every revision
 hash.  A triple record is not decoded on reload: the set of record
 bodies must equal the set of re-encoded triples of the head
 materialization, in any order.  The term encoding is injective, so
-bytes equal exactly when triples do.  A revision record's signature
-field is written empty and skipped on read.
+bytes equal exactly when triples do.  A revision or delta record is one
+`struct` head, then a counted tail: the signature, written empty and
+skipped on read, or the delta text.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ REC_HEADER = 0
 REC_TRIPLE = 1
 REC_REVISION = 2
 REC_DELTA = 3
+
+_REVISION = struct.Struct(">64s16sqBBI")  # hash, author, time, parents, local, signature
+_DELTA = struct.Struct(">64s64sI")  # parent, child, delta text length
 
 _KIND_BYTE = {IRI: 0, LITERAL: 1}
 
@@ -67,18 +71,13 @@ def save_document(gor: GraphOfRevisions, path, head: bytes | None = None) -> Non
         for rev in order:
             if rev.is_root:
                 continue
-            body = (
-                rev.hash
-                + rev.author
-                + struct.pack(">qB?", rev.timestamp, len(rev.parents), gor.is_local(rev.hash))
-                + pack(b"", "I")
-            )
-            _write_record(fh, REC_REVISION, body)
+            local = gor.is_local(rev.hash)
+            _write_record(fh, REC_REVISION, _REVISION.pack(
+                rev.hash, rev.author, rev.timestamp, len(rev.parents), local, 0))
             for link in rev.parents:
                 delta_text = delta_serialize(link.delta).encode("utf-8")
-                _write_record(
-                    fh, REC_DELTA, link.parent + rev.hash + pack(delta_text, "I")
-                )
+                body = _DELTA.pack(link.parent, rev.hash, len(delta_text)) + delta_text
+                _write_record(fh, REC_DELTA, body)
         for t in sorted(gor.materialize(head), key=canonical_key):
             _write_record(fh, REC_TRIPLE, _encode_triple(t))
 
@@ -128,17 +127,14 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
                 uri = r.take_prefixed("I").decode("utf-8")
                 head = r.take(HASH_LEN)
             elif kind == REC_REVISION:
-                h = r.take(HASH_LEN)
-                author = r.take(16)
-                timestamp, n_parents, local = struct.unpack(">qBB", r.take(10))
+                h, author, timestamp, n_parents, local, signature = r.unpack(_REVISION)
                 if local > 1:
                     raise CorruptLog(f"local flag {local} is neither 0 nor 1")
-                r.take_prefixed("I")  # signature
+                r.take(signature)
                 revisions[h] = (author, timestamp, n_parents, local, [])
             elif kind == REC_DELTA:
-                parent = r.take(HASH_LEN)
-                child = r.take(HASH_LEN)
-                delta = delta_parse(r.take_prefixed("I").decode("utf-8"), lines)
+                parent, child, size = r.unpack(_DELTA)
+                delta = delta_parse(r.take(size).decode("utf-8"), lines)
                 if child not in revisions:
                     raise CorruptLog("delta record before its revision record")
                 revisions[child][4].append(ParentLink(parent, delta))
@@ -147,7 +143,7 @@ def load_document(path) -> tuple[GraphOfRevisions, bytes]:
             r.done()
     except CorruptLog:
         raise
-    except (ValueError, KeyError, struct.error) as exc:
+    except (ValueError, KeyError) as exc:
         # a damaged byte: bad record length, UTF-8 or delta text
         raise CorruptLog(f"undecodable record: {exc!r}") from exc
 

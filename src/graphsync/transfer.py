@@ -13,9 +13,11 @@ payload bytes or aborts leaving nothing behind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Optional
 
 from .wire import (
+    MAX_WANTED,
     AgentId,
     DataMsg,
     ErrorMsg,
@@ -198,8 +200,7 @@ def receiver_step(state: ReceiverState, queue: list, now: int):
             # max_seen is held, so a gap below it exists iff first_missing < max_seen
             if (state.first_missing < state.max_seen
                     and now - state.last_gap_request_at >= RETRY_INTERVAL_MS):
-                gaps = tuple(s for s in range(state.first_missing, state.max_seen)
-                             if s not in received)
+                gaps = _missing(received, state.first_missing, state.max_seen)
                 out.append(ResendRequestMsg(state.dataset, state.uuid, gaps))
                 state.last_gap_request_at = now
             depth = len(data_queue)
@@ -216,12 +217,17 @@ def receiver_step(state: ReceiverState, queue: list, now: int):
             if state.retry_rounds >= RETRY_ROUNDS:
                 state.failed = True
             else:
-                missing = tuple(s for s in range(state.first_missing, last + 1)
-                                if s not in received)
+                missing = _missing(received, state.first_missing, last + 1)
                 out.append(ResendRequestMsg(state.dataset, state.uuid, missing))
                 state.retry_rounds += 1
                 state.last_retry_at = now
     return state, out, data_queue
+
+
+def _missing(received: dict, start: int, stop: int) -> tuple[int, ...]:
+    """The lowest sequences in [start, stop) not received, as many as one
+    resend request can count; a later round asks for the rest."""
+    return tuple(islice((s for s in range(start, stop) if s not in received), MAX_WANTED))
 
 
 def assemble_payload(state: ReceiverState) -> bytes:

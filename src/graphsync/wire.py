@@ -3,9 +3,15 @@
 Frame layout: one kind byte, a length-prefixed document (or dataset)
 URI, then the message body.  Digests travel as raw 64 bytes, agent
 UUIDs as raw 16 bytes, and deltas as their canonical text encoding.
-The layouts are frozen; golden-frame tests pin the exact bytes.  The
-signature field of a revision frame is written empty and skipped on
-read; decoding checks the revision's digest (`verified_revision`).
+The layouts are frozen; golden-frame tests pin the exact bytes.  Each
+of nine kinds is one `_TABLE` row, read by both `encode_frame` and
+`decode_frame`: a `struct` head over the fields in dataclass order, then
+at most one tail counted by the head's last field.  (`16s` and `64s`
+pad a short value; no message carries one.)  Status and revision frames
+are coded by hand; a status master flag other than 0 or 1 is malformed,
+and a revision frame's signature field is written empty and skipped on
+read.  Decoding checks the revision's digest (`verified_revision`), and
+`Reader` reads in place from an offset, without copying the body.
 Elsewhere in the package only `NetworkSim.advance` reads frame bytes: it
 logs each delivery's kind byte raw, and `netsim.EventLog` turns it into
 its `KIND_NAMES` label when a row is read or written.  `NetworkSim.send`
@@ -17,8 +23,8 @@ records with `pack` and `Reader`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .revisions import HASH_LEN, UUID_LEN, ParentLink, Revision, verified_revision
 from .triples import delta_parse, delta_serialize
@@ -49,7 +55,7 @@ KIND_NAMES = {
     KIND_FINISHED: "finished",
 }
 
-# the widest digest count of a revision request ('>H') and round of a vote ('>I')
+# the widest count of a revision or resend request ('>H') and round of a vote ('>I')
 MAX_WANTED = 0xFFFF
 MAX_ROUND = 0xFFFFFFFF
 
@@ -160,11 +166,45 @@ def pack(b: bytes, width: str = "H") -> bytes:
     return struct.pack(">" + width, len(b)) + b
 
 
-def _frame(kind: int, uri: str, body: bytes) -> bytes:
-    return bytes([kind]) + pack(uri.encode("utf-8")) + body
+def _frame(kind: int, uri: str, *body: bytes) -> bytes:
+    return b"".join((bytes([kind]), pack(uri.encode("utf-8")), *body))
+
+
+def _row(kind: int, cls, head: str, item=None):
+    """A table row: `head` packs the fields after the URI in dataclass
+    order; with an `item` (`bytes` for raw bytes, else a struct code),
+    the head's last field counts the items of the last field."""
+    names = [f.name for f in fields(cls)]
+    if isinstance(item, str):
+        item = struct.Struct(">" + item)
+    return kind, cls, struct.Struct(">" + head), item, attrgetter(*names)
+
+
+_TABLE = [
+    _row(KIND_REVISION_REQUEST, RevisionRequestMsg, "16sH", "64s"),
+    _row(KIND_VOTE, VoteMsg, "16s16sIqq"),
+    _row(KIND_READY, ReadyMsg, "16s"),
+    _row(KIND_DATA, DataMsg, "QI", bytes),
+    _row(KIND_RESEND_REQUEST, ResendRequestMsg, "16sH", "Q"),
+    _row(KIND_ERROR, ErrorMsg, "16s"),
+    _row(KIND_THROTTLE_UP, ThrottleUpMsg, "16s"),
+    _row(KIND_THROTTLE_DOWN, ThrottleDownMsg, "16s"),
+    _row(KIND_FINISHED, FinishedMsg, "q"),
+]
+_BY_CLASS = {row[1]: row for row in _TABLE}
+_BY_KIND = {row[0]: row for row in _TABLE}
 
 
 def encode_frame(msg) -> bytes:
+    row = _BY_CLASS.get(type(msg))
+    if row is not None:
+        kind, _, head, item, get = row
+        uri, *values = get(msg)
+        if item is None:
+            return _frame(kind, uri, head.pack(*values))
+        items = values.pop()
+        tail = items if item is bytes else b"".join(map(item.pack, items))
+        return _frame(kind, uri, head.pack(*values, len(items)), tail)
     if isinstance(msg, StatusMsg):
         body = (
             msg.sender.uuid
@@ -186,41 +226,16 @@ def encode_frame(msg) -> bytes:
         for link in rev.parents:
             body += link.parent + pack(delta_serialize(link.delta).encode("utf-8"), "I")
         return _frame(KIND_REVISION, msg.document_uri, body)
-    if isinstance(msg, RevisionRequestMsg):
-        body = msg.requester + struct.pack(">H", len(msg.wanted)) + b"".join(msg.wanted)
-        return _frame(KIND_REVISION_REQUEST, msg.document_uri, body)
-    if isinstance(msg, VoteMsg):
-        body = msg.voter + msg.candidate + struct.pack(
-            ">Iqq", msg.round, msg.vote_timestamp, msg.election_timestamp
-        )
-        return _frame(KIND_VOTE, msg.document_uri, body)
-    if isinstance(msg, ReadyMsg):
-        return _frame(KIND_READY, msg.dataset_uri, msg.receiver)
-    if isinstance(msg, DataMsg):
-        return _frame(
-            KIND_DATA, msg.dataset_uri, struct.pack(">Q", msg.sequence) + pack(msg.data, "I")
-        )
-    if isinstance(msg, ResendRequestMsg):
-        body = msg.requester + struct.pack(">H", len(msg.sequences))
-        body += b"".join(struct.pack(">Q", s) for s in msg.sequences)
-        return _frame(KIND_RESEND_REQUEST, msg.dataset_uri, body)
-    if isinstance(msg, ErrorMsg):
-        return _frame(KIND_ERROR, msg.dataset_uri, msg.sender)
-    if isinstance(msg, ThrottleUpMsg):
-        return _frame(KIND_THROTTLE_UP, msg.dataset_uri, msg.sender)
-    if isinstance(msg, ThrottleDownMsg):
-        return _frame(KIND_THROTTLE_DOWN, msg.dataset_uri, msg.sender)
-    if isinstance(msg, FinishedMsg):
-        return _frame(KIND_FINISHED, msg.dataset_uri, struct.pack(">q", msg.last_sequence))
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
 class Reader:
-    """Bounds-checked reads; a short read or a leftover byte raises MalformedFrame."""
+    """Bounds-checked reads in place, from an offset into the bytes; a
+    short read or a leftover byte raises MalformedFrame."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, pos: int = 0):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -229,9 +244,15 @@ class Reader:
         self.pos += n
         return out
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        pos = self.pos
+        if pos + layout.size > len(self.data):
+            raise MalformedFrame("truncated body")
+        self.pos = pos + layout.size
+        return layout.unpack_from(self.data, pos)
+
     def take_prefixed(self, width: str = "H") -> bytes:
-        size = struct.calcsize(">" + width)
-        (n,) = struct.unpack(">" + width, self.take(size))
+        (n,) = self.unpack(_LENGTHS[width])
         return self.take(n)
 
     def done(self) -> None:
@@ -239,21 +260,36 @@ class Reader:
             raise MalformedFrame("trailing bytes")
 
 
+_LENGTHS = {"H": struct.Struct(">H"), "I": struct.Struct(">I")}
+
+
 def decode_frame(raw: bytes):
     if len(raw) < 3:
         raise MalformedFrame("frame too short")
     kind = raw[0]
-    body = Reader(raw[1:])
+    body = Reader(raw, 1)
     uri = body.take_prefixed().decode("utf-8")
 
+    row = _BY_KIND.get(kind)
+    if row is not None:
+        _, cls, head, item, _ = row
+        *values, last = body.unpack(head)  # with an item, last counts the tail
+        if item is bytes:
+            last = body.take(last)
+        elif item is not None:
+            last = tuple(x for (x,) in item.iter_unpack(body.take(last * item.size)))
+        body.done()
+        return cls(uri, *values, last)
     if kind == KIND_STATUS:
         uuid = body.take(UUID_LEN)
         name = body.take_prefixed().decode("utf-8")
         key = body.take_prefixed()
         head = body.take(HASH_LEN)
-        master = body.take(1)[0] == 1
+        master = body.take(1)[0]
+        if master > 1:
+            raise MalformedFrame(f"master flag {master} is neither 0 nor 1")
         body.done()
-        return StatusMsg(AgentId(uuid, name, key), uri, head, master)
+        return StatusMsg(AgentId(uuid, name, key), uri, head, master == 1)
     if kind == KIND_REVISION:
         author = body.take(UUID_LEN)
         (timestamp,) = struct.unpack(">q", body.take(8))
@@ -268,47 +304,4 @@ def decode_frame(raw: bytes):
             links.append(ParentLink(parent, delta))
         body.done()
         return RevisionMsg(uri, verified_revision(digest, author, timestamp, links))
-    if kind == KIND_REVISION_REQUEST:
-        requester = body.take(UUID_LEN)
-        (count,) = struct.unpack(">H", body.take(2))
-        wanted = tuple(body.take(HASH_LEN) for _ in range(count))
-        body.done()
-        return RevisionRequestMsg(uri, requester, wanted)
-    if kind == KIND_VOTE:
-        voter = body.take(UUID_LEN)
-        candidate = body.take(UUID_LEN)
-        rnd, vote_ts, election_ts = struct.unpack(">Iqq", body.take(20))
-        body.done()
-        return VoteMsg(uri, voter, candidate, rnd, vote_ts, election_ts)
-    if kind == KIND_READY:
-        receiver = body.take(UUID_LEN)
-        body.done()
-        return ReadyMsg(uri, receiver)
-    if kind == KIND_DATA:
-        (sequence,) = struct.unpack(">Q", body.take(8))
-        data = body.take_prefixed("I")
-        body.done()
-        return DataMsg(uri, sequence, data)
-    if kind == KIND_RESEND_REQUEST:
-        requester = body.take(UUID_LEN)
-        (count,) = struct.unpack(">H", body.take(2))
-        seqs = tuple(struct.unpack(">Q", body.take(8))[0] for _ in range(count))
-        body.done()
-        return ResendRequestMsg(uri, requester, seqs)
-    if kind == KIND_ERROR:
-        sender = body.take(UUID_LEN)
-        body.done()
-        return ErrorMsg(uri, sender)
-    if kind == KIND_THROTTLE_UP:
-        sender = body.take(UUID_LEN)
-        body.done()
-        return ThrottleUpMsg(uri, sender)
-    if kind == KIND_THROTTLE_DOWN:
-        sender = body.take(UUID_LEN)
-        body.done()
-        return ThrottleDownMsg(uri, sender)
-    if kind == KIND_FINISHED:
-        (last,) = struct.unpack(">q", body.take(8))
-        body.done()
-        return FinishedMsg(uri, last)
     raise MalformedFrame(f"unknown frame kind {kind}")

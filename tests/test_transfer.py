@@ -20,6 +20,7 @@ from graphsync.transfer import (
     split_chunks,
 )
 from graphsync.wire import (
+    MAX_WANTED,
     AgentId,
     DataMsg,
     ErrorMsg,
@@ -253,6 +254,25 @@ class TestReceiverStep:
         assert all(encode_frame(m) for m in out)
         resends = {m.sequences for m in out if isinstance(m, ResendRequestMsg)}
         assert resends == ({tuple(range(1, 64))} if kept else set())
+
+    def test_retry_asks_for_at_most_what_one_request_counts(self):
+        """A resend request counts its sequences in two bytes, so a retry
+        over more missing chunks asks for the lowest that fit."""
+        state = ReceiverState("ds:x", R1, max_chunks=70_000, chunk_size=1, ready_sent=True)
+        queue = [DataMsg("ds:x", 0, b"a"), FinishedMsg("ds:x", 69_999)]
+        state, out, _ = receiver_step(state, queue, 0)
+        state, more, _ = receiver_step(state, [], 1_000)
+        out += more
+        assert all(encode_frame(m) for m in out)
+        resends = [m.sequences for m in out if isinstance(m, ResendRequestMsg)]
+        assert resends == [tuple(range(1, MAX_WANTED + 1))]
+
+    def test_gap_request_asks_for_at_most_what_one_request_counts(self):
+        state = ReceiverState("ds:x", R1, max_chunks=70_000, chunk_size=1, ready_sent=True)
+        state, out, _ = receiver_step(state, [DataMsg("ds:x", 69_999, b"z")], 0)
+        assert all(encode_frame(m) for m in out)
+        resends = [m.sequences for m in out if isinstance(m, ResendRequestMsg)]
+        assert resends == [tuple(range(MAX_WANTED))]
 
 
 class TestPlanTransfer:

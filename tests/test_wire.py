@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,18 @@ def test_golden_status_frame():
     assert frame.hex() == expect
 
 
+def test_status_master_flag_other_than_0_or_1_is_malformed():
+    """A lenient read would decode 02 as "not master" and re-encode it as
+    00, so two readers of one frame could disagree on its bytes."""
+    msg = StatusMsg(AgentId(bytes(range(16)), "a", b"k"), "d", b"\xee" * 64, True)
+    frame = encode_frame(msg)
+    assert frame[-1:] == b"\x01"
+    assert decode_frame(frame[:-1] + b"\x00") == replace(msg, is_merge_master=False)
+    for flag in (b"\x02", b"\xff"):
+        with pytest.raises(MalformedFrame):
+            decode_frame(frame[:-1] + flag)
+
+
 def test_golden_data_frame():
     frame = encode_frame(DataMsg("d", 258, b"\x99"))
     assert frame.hex() == "0b" + "000164" + "0000000000000102" + "00000001" + "99"
@@ -314,3 +327,5 @@ def test_every_proper_prefix_raises_value_error(msg):
     for n in range(len(frame)):
         with pytest.raises(ValueError):
             decode_frame(frame[:n])
+    with pytest.raises(ValueError):
+        decode_frame(frame + b"\x00")
